@@ -663,12 +663,15 @@ int main(int argc, char** argv) {
     table.Print();
     const EngineCacheStats stats = engine.cache_stats();
     std::printf("batch of %zu: %.4f ms simulated total; preparation cache "
-                "%llu hit(s), %llu miss(es), %llu entr%s\n",
+                "%llu hit(s), %llu miss(es), %llu entr%s, %llu relabel(s), "
+                "%llu transpose(s)\n",
                 results->size(), total_sim * 1e3,
                 static_cast<unsigned long long>(stats.hits),
                 static_cast<unsigned long long>(stats.misses),
                 static_cast<unsigned long long>(stats.entries),
-                stats.entries == 1 ? "y" : "ies");
+                stats.entries == 1 ? "y" : "ies",
+                static_cast<unsigned long long>(stats.relabels),
+                static_cast<unsigned long long>(stats.transposes));
     if (cli.trace && !results->empty()) {
       std::printf("trace of the first query only (source %u):\n",
                   results->front().source);

@@ -14,10 +14,8 @@ Result<PreparedGraph> PreparedGraph::Make(const GraphView& view,
   if (WantsReorder(options) && view.num_vertices() > 0) {
     HYT_ASSIGN_OR_RETURN(HubSortViewResult sorted,
                          HubSortView(view, options.hub_fraction));
-    prepared.reordered_ = true;
     prepared.view_ = std::move(sorted.view);
-    prepared.old_to_new_ = std::move(sorted.old_to_new);
-    prepared.new_to_old_ = std::move(sorted.new_to_old);
+    prepared.sorted_ = std::move(sorted.sorted);
   } else {
     prepared.view_ = view;
   }

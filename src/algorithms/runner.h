@@ -21,11 +21,13 @@
 #define HYTGRAPH_ALGORITHMS_RUNNER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "algorithms/registry.h"
 #include "core/options.h"
 #include "core/trace.h"
+#include "graph/base_derived.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_view.h"
 #include "util/status.h"
@@ -36,11 +38,12 @@ namespace hytgraph {
 /// system needs it, plus the id mappings.
 ///
 /// Preparation operates on GraphViews end to end. A reordering preparation
-/// relabels the *base* CSR and remaps the pending overlay through the
-/// permutation (the permutation itself comes from the view's mutated
-/// degrees, so it matches what hub-sorting the folded CSR would produce);
-/// a non-reordering preparation is the input view unchanged. Either way
-/// the solver executes directly on base + delta — no snapshot fold.
+/// takes the hub-sorted *base* from the base snapshot's shared derived data
+/// (relabeled once per base: the order is scored on the base's degrees and
+/// recomputed at each fold) and remaps only the pending overlay through the
+/// permutation, O(delta); a non-reordering preparation is the input view
+/// unchanged. Either way the solver executes directly on base + delta — no
+/// snapshot fold.
 class PreparedGraph {
  public:
   /// Whether `options` calls for the hub-sorted vertex order (the expensive
@@ -67,35 +70,36 @@ class PreparedGraph {
 
   /// The view the solver executes on (relabeled when reordered()).
   const GraphView& view() const { return view_; }
-  bool reordered() const { return reordered_; }
+  bool reordered() const { return sorted_ != nullptr; }
   VertexId MapSource(VertexId original_id) const {
-    return reordered_ ? old_to_new_[original_id] : original_id;
+    return reordered() ? sorted_->old_to_new[original_id] : original_id;
   }
 
   /// Maps a solver-space vertex id back to the original id (identity when
   /// not reordered). Used for value payloads that are themselves vertex ids
   /// (CC labels).
   VertexId MapVertexBack(VertexId solver_id) const {
-    return reordered_ ? new_to_old_[solver_id] : solver_id;
+    return reordered() ? sorted_->new_to_old[solver_id] : solver_id;
   }
 
   /// Maps a value vector from solver (possibly relabeled) ids back to the
   /// original ids.
   template <typename T>
   std::vector<T> MapValuesBack(std::vector<T> values) const {
-    if (!reordered_) return values;
+    if (!reordered()) return values;
+    const std::vector<VertexId>& new_to_old = sorted_->new_to_old;
     std::vector<T> out(values.size());
     for (size_t new_id = 0; new_id < values.size(); ++new_id) {
-      out[new_to_old_[new_id]] = values[new_id];
+      out[new_to_old[new_id]] = values[new_id];
     }
     return out;
   }
 
  private:
   GraphView view_;
-  bool reordered_ = false;
-  std::vector<VertexId> old_to_new_;
-  std::vector<VertexId> new_to_old_;
+  /// The shared hub-sorted base and its permutation (null when not
+  /// reordered); never copied per preparation.
+  std::shared_ptr<const HubSortedBase> sorted_;
 };
 
 template <typename V>

@@ -47,13 +47,12 @@ Engine::Engine(CsrGraph graph, SolverOptions default_options,
       prefetcher_.reset();
     }
   }
-  base_ = std::move(base);
-  num_vertices_ = base_->num_vertices();
-  // Created non-const (stored through a pointer-to-const): the in-place
-  // publication path writes through a const_cast, which is only defined
-  // for objects that were not created const.
-  overlay_ = std::make_shared<DeltaOverlay>(base_, store_);
-  view_ = GraphView(base_, overlay_, store_);
+  num_vertices_ = base->num_vertices();
+  // The overlay is created non-const (stored through a pointer-to-const):
+  // the in-place publication path writes through a const_cast, which is
+  // only defined for objects that were not created const.
+  auto overlay = std::make_shared<DeltaOverlay>(base, store_);
+  PublishBaseLocked(std::move(base), store_, std::move(overlay));
   default_source_ = HighestOutDegreeVertex(view_);
   if (default_source_ != kInvalidVertex) {
     default_source_degree_ = view_.out_degree(default_source_);
@@ -67,6 +66,18 @@ Engine::Engine(CsrGraph graph, SolverOptions default_options,
   // policy opt-in.
   ingest_ = std::make_unique<BackgroundCompactor>(
       std::function<CycleResult()>([this] { return IngestCycle(); }));
+}
+
+void Engine::PublishBaseLocked(std::shared_ptr<const CsrGraph> base,
+                               std::shared_ptr<const EdgeBlockStore> store,
+                               std::shared_ptr<const DeltaOverlay> overlay) {
+  base_ = std::move(base);
+  store_ = std::move(store);
+  overlay_ = std::move(overlay);
+  // The old record stays alive only as long as views over the old base
+  // (in-flight queries) hold it.
+  derived_ = std::make_shared<BaseDerivedData>(base_, store_, derived_builds_);
+  view_ = GraphView(base_, overlay_, store_, derived_);
 }
 
 bool Engine::out_of_core() const {
@@ -219,10 +230,9 @@ Status Engine::CompactLocked() {
   // Out of core: the folded snapshot spills to its own block file sharing
   // the engine's cache/prefetcher/throttle (the old store's file is
   // reclaimed when its last pinned view drops).
-  store_ = MaybeSpill(fresh, store_);
-  base_ = std::move(fresh);
-  overlay_ = std::make_shared<DeltaOverlay>(base_, store_);  // non-const: ctor
-  view_ = GraphView(base_, overlay_, store_);
+  std::shared_ptr<const EdgeBlockStore> store = MaybeSpill(fresh, store_);
+  auto overlay = std::make_shared<DeltaOverlay>(fresh, store);  // non-const
+  PublishBaseLocked(std::move(fresh), std::move(store), std::move(overlay));
   ++layout_version_;
   // The logical graph is unchanged (the fold only moved the physical
   // layout), so the epoch and the default source stay put. Cached
@@ -362,10 +372,8 @@ CycleResult Engine::BackgroundFoldCycle() {
   }
   fold_in_flight_ = false;
   fold_window_.clear();
-  base_ = std::move(new_base);
-  store_ = std::move(new_store);
-  overlay_ = std::move(new_overlay);
-  view_ = GraphView(base_, overlay_, store_);
+  PublishBaseLocked(std::move(new_base), std::move(new_store),
+                    std::move(new_overlay));
   ++layout_version_;
   compactor_.RecordFold(base_->num_edges(), fold_seconds);
   // Same rationale as CompactLocked: cached preparations pin the pre-fold
@@ -437,20 +445,10 @@ Result<MutationResult> Engine::ApplyMutations(const MutationBatch& batch) {
   ++epoch_;
   if (next_overlay != nullptr) overlay_ = std::move(next_overlay);
   // Either way the view is rebuilt: it must drop the previous (possibly
-  // already-built) lazy offset index. O(1) — the index builds on first
-  // read. The reverse transpose survives the rebuild: the base snapshot is
-  // unchanged, so the old view's (possibly built) reverse base seeds the
-  // new one and pull queries skip the O(E) re-transpose — it is rebuilt
-  // only when a fold publishes a new base (CompactLocked /
-  // BackgroundFoldCycle create unseeded views).
-  const std::shared_ptr<const CsrGraph> reverse_base =
-      view_.reverse_base_if_built();
-  const std::shared_ptr<const EdgeBlockStore> reverse_store =
-      view_.reverse_store_if_built();
-  // The forward store rides along implicitly: the new view inherits it
-  // from the overlay (whose COW copy carries the base store).
-  view_ = GraphView(base_, overlay_);
-  view_.SeedReverseBase(reverse_base, reverse_store);
+  // already-built) lazy offset and reverse overlay indexes. O(1) — they
+  // build on first read. The base is unchanged, so the new view shares
+  // its derived data (hub relabel, transpose) with every earlier epoch.
+  view_ = GraphView(base_, overlay_, store_, derived_);
 
   EpochDelta log_entry;
   log_entry.epoch = epoch_;
@@ -514,12 +512,7 @@ Result<MutationResult> Engine::ApplyMutations(const MutationBatch& batch) {
       result.fold_scheduled = true;
     } else if (!fold_in_flight_) {
       overlay_ = overlay_->Collapsed();
-      const std::shared_ptr<const CsrGraph> collapse_reverse =
-          view_.reverse_base_if_built();
-      const std::shared_ptr<const EdgeBlockStore> collapse_reverse_store =
-          view_.reverse_store_if_built();
-      view_ = GraphView(base_, overlay_);
-      view_.SeedReverseBase(collapse_reverse, collapse_reverse_store);
+      view_ = GraphView(base_, overlay_, store_, derived_);
       ++layout_version_;
       ClearPreparedCache();
     }
@@ -632,7 +625,7 @@ Result<std::shared_ptr<const PreparedGraph>> Engine::GetPrepared(
     if (it != prepared_.end()) {
       if (it->second.epoch == snapshot.epoch &&
           it->second.layout == snapshot.layout) {
-        ++stats_.hits;
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
         *cache_hit = true;
         return it->second.prepared;
       }
@@ -642,8 +635,8 @@ Result<std::shared_ptr<const PreparedGraph>> Engine::GetPrepared(
         // snapshot. In-flight queries that planned against it still hold
         // their own shared_ptr; dropping the cache reference is safe.
         prepared_.erase(it);
-        ++stats_.invalidated;
-        stats_.entries = prepared_.size();
+        cache_invalidated_.fetch_add(1, std::memory_order_relaxed);
+        cache_entries_.store(prepared_.size(), std::memory_order_relaxed);
       }
       // An entry from a *newer* epoch (a concurrent mutation raced this
       // plan) is left alone; this query builds an uncached preparation for
@@ -651,17 +644,22 @@ Result<std::shared_ptr<const PreparedGraph>> Engine::GetPrepared(
     }
   }
 
-  // Miss: build outside the lock — the hub sort is the expensive step this
-  // cache exists to amortize, and holding mu_ across it would block every
-  // concurrent cache-hit query. Two threads racing on the same key build
-  // twice; the first insert wins and the loser's copy is discarded.
+  // Miss: build outside the lock, so a preparation never blocks concurrent
+  // cache-hit queries. The O(E) hub relabel is memoized per base snapshot
+  // (single-flight, in the view's BaseDerivedData), so a miss over a known
+  // base pays only the O(delta) overlay remap; two threads racing on the
+  // same key both remap, the first insert wins and the loser's copy is
+  // discarded.
   const uint64_t mark = StorageFailureMark();
-  HYT_ASSIGN_OR_RETURN(PreparedGraph prepared,
-                       PreparedGraph::Make(snapshot.view, effective));
-  // The hub sort streams adjacency; a preparation built over a block that
-  // never arrived must not enter the cache.
+  Result<PreparedGraph> prepared = PreparedGraph::Make(snapshot.view, effective);
+  // The relabel and the remap stream adjacency; a preparation built over a
+  // block that never arrived must not enter the cache (the relabel itself
+  // refuses to memoize such a build). Checked before the build status so a
+  // failed load is reported to Health() either way.
   HYT_RETURN_NOT_OK(CheckStorageSince(mark, "graph preparation"));
-  auto shared = std::make_shared<const PreparedGraph>(std::move(prepared));
+  HYT_RETURN_NOT_OK(prepared.status());
+  auto shared =
+      std::make_shared<const PreparedGraph>(std::move(prepared).value());
 
   std::lock_guard<std::mutex> lock(mu_);
   auto it = prepared_.find(key);
@@ -679,11 +677,11 @@ Result<std::shared_ptr<const PreparedGraph>> Engine::GetPrepared(
     // preparation is not thrown away and rebuilt on the next lookup.
     it->second = CacheEntry{snapshot.epoch, snapshot.layout, snapshot.view,
                             shared};
-    ++stats_.invalidated;
+    cache_invalidated_.fetch_add(1, std::memory_order_relaxed);
   }
   // Either way this query performed a build, so it reports a miss.
-  ++stats_.misses;
-  stats_.entries = prepared_.size();
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  cache_entries_.store(prepared_.size(), std::memory_order_relaxed);
   *cache_hit = false;
   return shared;
 }
@@ -728,11 +726,12 @@ Result<QueryResult> Engine::Execute(const PlannedQuery& plan) const {
   // run that lost a block converges on a subgraph. The mark check turns
   // that into kUnavailable instead of returning silently wrong values.
   const uint64_t mark = StorageFailureMark();
-  HYT_ASSIGN_OR_RETURN(
-      AlgorithmRun run,
+  Result<AlgorithmRun> ran =
       RunAlgorithmOn(*plan.prepared, plan.query.algorithm, plan.source,
-                     plan.query.params, plan.options));
+                     plan.query.params, plan.options);
   HYT_RETURN_NOT_OK(CheckStorageSince(mark, "query execution"));
+  HYT_RETURN_NOT_OK(ran.status());
+  AlgorithmRun run = std::move(ran).value();
   QueryResult result;
   result.algorithm = plan.query.algorithm;
   result.source =
@@ -886,10 +885,17 @@ Result<QueryResult> Engine::RunIncremental(const Query& query,
             IncrementalRecompute(ref.view, query.algorithm, source, seeds,
                                  &values, have_parents ? &parents : nullptr));
       } else {
-        HYT_ASSIGN_OR_RETURN(
-            stats, DeletionAwareRecompute(ref.view, query.algorithm, source,
-                                          inserts, deletes, &values,
-                                          &parents));
+        Result<IncrementalStats> recomputed =
+            DeletionAwareRecompute(ref.view, query.algorithm, source, inserts,
+                                   deletes, &values, &parents);
+        if (!recomputed.ok()) {
+          // A transpose build that lost a block fails the cone scan; report
+          // it as the storage failure it is.
+          HYT_RETURN_NOT_OK(
+              CheckStorageSince(storage_mark, "incremental recompute"));
+          return recomputed.status();
+        }
+        stats = std::move(recomputed).value();
         parents_valid = true;
       }
       IterationTrace it;
@@ -1015,14 +1021,21 @@ Result<std::vector<QueryResult>> Engine::ExecutePlans(
 }
 
 EngineCacheStats Engine::cache_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  EngineCacheStats stats;
+  stats.hits = cache_hits_.load(std::memory_order_relaxed);
+  stats.misses = cache_misses_.load(std::memory_order_relaxed);
+  stats.entries = cache_entries_.load(std::memory_order_relaxed);
+  stats.invalidated = cache_invalidated_.load(std::memory_order_relaxed);
+  stats.relabels = derived_builds_->relabels.load(std::memory_order_relaxed);
+  stats.transposes =
+      derived_builds_->transposes.load(std::memory_order_relaxed);
+  return stats;
 }
 
 void Engine::ClearPreparedCache() {
   std::lock_guard<std::mutex> lock(mu_);
   prepared_.clear();
-  stats_.entries = 0;
+  cache_entries_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace hytgraph

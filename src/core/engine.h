@@ -10,9 +10,13 @@
 //
 //  * Cached preparation. The hub-sorted vertex order HyTGraph's
 //    contribution-driven scheduling needs (Section VI-A) is expensive to
-//    build; the Engine memoizes PreparedGraph instances keyed by an options
-//    fingerprint, so repeated queries — and every query of a batch — reuse
-//    one preparation. QueryResult reports per-query hit/miss plus the
+//    build; it belongs to the base snapshot (BaseDerivedData), so the O(E)
+//    relabel runs once per base — at the first query after start-up and
+//    after each fold — and every mutation epoch reuses it. On top, the
+//    Engine memoizes PreparedGraph instances (the relabeled base plus the
+//    epoch's O(delta) overlay remap) keyed by an options fingerprint, so
+//    repeated queries — and every query of a batch — reuse one
+//    preparation. QueryResult reports per-query hit/miss plus the
 //    engine-wide counters.
 //
 //  * Registry dispatch. Queries name an AlgorithmId; the Engine resolves it
@@ -65,12 +69,12 @@
 //
 // Direction-optimizing queries (SolverOptions::direction = pull/auto) pull
 // over the view's reverse side. The reverse transpose is built lazily on
-// the first pull iteration and then reused engine-wide: copies of the view
-// (including prepared-cache entries) share it, and each mutation
-// publication seeds the next epoch's view with the already-built transpose
-// — so it is built at most once per physical layout and dropped exactly
+// the first pull iteration and, like the hub relabel, lives in the base
+// snapshot's BaseDerivedData record: every view the Engine publishes over
+// that base shares it, so it is built at most once per base and released
 // when a fold publishes a new base (Compact() / threshold / background
-// folds), alongside the prepared cache.
+// folds) and the last in-flight query over the old base drops it. Builds
+// are single-flight — concurrent misses on a new base wait for one build.
 //
 // Thread safety: Run/RunBatch/RunIncremental/ApplyMutations may be called
 // concurrently from multiple threads; the prepared cache and the mutation
@@ -101,6 +105,7 @@
 #include "dynamic/mutation.h"
 #include "dynamic/mutation_queue.h"
 #include "dynamic/snapshot_compactor.h"
+#include "graph/base_derived.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_view.h"
 #include "storage/block_cache.h"
@@ -129,6 +134,12 @@ struct EngineCacheStats {
   uint64_t entries = 0;
   /// Entries dropped lazily because their epoch no longer matched.
   uint64_t invalidated = 0;
+  /// Hub-sorted relabels of a base snapshot built (one per base and hub
+  /// fraction, shared by every epoch until the next fold).
+  uint64_t relabels = 0;
+  /// Reverse transposes built (one per base snapshot that served a pull,
+  /// hub-relabeled bases included).
+  uint64_t transposes = 0;
 };
 
 /// The result of one query: values in original vertex ids, the execution
@@ -356,7 +367,9 @@ class Engine {
   StorageStats storage_stats() const;
 
   /// Drops all memoized preparations. Counters (hits/misses/invalidated)
-  /// are preserved; only `entries` resets.
+  /// are preserved; only `entries` resets. The base snapshot's derived data
+  /// (hub relabel, transpose) is kept: the next preparation over the same
+  /// base remaps only the overlay.
   void ClearPreparedCache();
 
  private:
@@ -404,6 +417,14 @@ class Engine {
   /// Folds the pending overlay and promotes the result to the new base.
   /// graph_mu_ must be held exclusively.
   Status CompactLocked();
+
+  /// Publishes `base` (spilled into `store` when out of core) as the new
+  /// base snapshot with `overlay` on top, under a fresh derived-data record.
+  /// graph_mu_ must be held exclusively (or the engine be under
+  /// construction).
+  void PublishBaseLocked(std::shared_ptr<const CsrGraph> base,
+                         std::shared_ptr<const EdgeBlockStore> store,
+                         std::shared_ptr<const DeltaOverlay> overlay);
 
   /// One ingest drain: moves queued batches onto the worker-local backlog
   /// and applies them front-first through ApplyMutations. A pre-apply
@@ -488,6 +509,9 @@ class Engine {
   /// Block store backing base_ when out of core; null when in memory.
   std::shared_ptr<const EdgeBlockStore> store_;
   std::shared_ptr<const DeltaOverlay> overlay_;   // pending delta (COW)
+  /// Hub relabel and transpose of base_, shared by every view over it;
+  /// replaced (with base_) by each fold.
+  std::shared_ptr<BaseDerivedData> derived_;
   GraphView view_;                                // base_ + overlay_
   uint64_t epoch_ = 0;
   /// The tracked degree argmax (lowest id wins ties), maintained in
@@ -521,7 +545,16 @@ class Engine {
 
   mutable std::mutex mu_;
   std::map<std::string, CacheEntry> prepared_;
-  EngineCacheStats stats_;
+  /// Counters behind cache_stats(). Atomics, so every query result can
+  /// snapshot them without taking mu_ (writers update them under it).
+  std::atomic<uint64_t> cache_hits_{0};
+  std::atomic<uint64_t> cache_misses_{0};
+  std::atomic<uint64_t> cache_entries_{0};
+  std::atomic<uint64_t> cache_invalidated_{0};
+  /// Relabel/transpose build counts of every derived-data record this
+  /// engine creates (records may outlive the engine in a caller's view).
+  std::shared_ptr<DerivedBuildCounters> derived_builds_ =
+      std::make_shared<DerivedBuildCounters>();
 
   /// Wait-free ingest state: producers push here (EnqueueMutations), the
   /// ingest worker drains through ApplyMutations. The queue has its own

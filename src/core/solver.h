@@ -284,6 +284,10 @@ class Solver {
             }
           }
           if (pulling) {
+            // The transpose comes from the base's shared derived data; an
+            // out-of-core build that lost a block fails the run here
+            // (kUnavailable) instead of gathering over missing in-edges.
+            HYT_RETURN_NOT_OK(view_.EnsureReverse());
             trace.iterations.push_back(
                 num_lanes > 1
                     ? RunParallelPullIteration(team.get(), &lane_states,
@@ -656,7 +660,6 @@ class Solver {
     it.num_tasks = static_cast<uint32_t>(lanes->size());
     const TransferStatsSnapshot before = stats_.Snapshot();
 
-    view_.EnsureReverse();
     const auto floor = PullIterationFloor(current, *program);
     team->Run([&](int l) {
       LaneState& lane = *(*lanes)[l];

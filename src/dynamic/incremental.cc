@@ -144,12 +144,12 @@ IncrementalStats Propagate(const GraphView& graph,
 /// are applied by phase 3's insert-source seeds, for cone and non-cone
 /// vertices alike.
 template <typename Relax>
-IncrementalStats ConeRecompute(const GraphView& graph, bool has_source,
-                               VertexId source,
-                               std::span<const EdgeRecord> inserts,
-                               std::span<const EdgeRecord> deletes,
-                               std::vector<uint32_t>* values,
-                               std::vector<VertexId>* parents) {
+Result<IncrementalStats> ConeRecompute(const GraphView& graph, bool has_source,
+                                       VertexId source,
+                                       std::span<const EdgeRecord> inserts,
+                                       std::span<const EdgeRecord> deletes,
+                                       std::vector<uint32_t>* values,
+                                       std::vector<VertexId>* parents) {
   IncrementalStats stats;
   std::vector<uint32_t>& vals = *values;
   std::vector<VertexId>& tree = *parents;
@@ -214,7 +214,7 @@ IncrementalStats ConeRecompute(const GraphView& graph, bool has_source,
   }
 
   std::vector<VertexId> seeds;
-  if (!cone.empty()) graph.EnsureReverse();
+  if (!cone.empty()) HYT_RETURN_NOT_OK(graph.EnsureReverse());
   for (VertexId x : cone) {
     graph.ForEachInNeighbor(x, [&](VertexId p, Weight /*w*/) {
       ++stats.traversed_edges;

@@ -227,7 +227,11 @@ uint64_t RunPullKernel(const GraphView& view, const Frontier& current,
                        Program& program, Frontier* next) {
   const VertexId n = view.num_vertices();
   if (n == 0) return 0;
-  view.EnsureReverse();
+  // The solver builds the reverse side (and handles a failed build) before
+  // its first pull iteration; here it is a no-op load, or a build for
+  // direct callers on resident graphs, which cannot fail.
+  const Status reverse = view.EnsureReverse();
+  HYT_CHECK(reverse.ok()) << reverse.ToString();
 
   const auto floor = PullIterationFloor(current, program);
 

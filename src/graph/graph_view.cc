@@ -3,17 +3,18 @@
 #include <algorithm>
 #include <utility>
 
-#include "graph/transforms.h"
 #include "util/logging.h"
 
 namespace hytgraph {
 
 GraphView::GraphView(std::shared_ptr<const CsrGraph> base,
                      std::shared_ptr<const DeltaOverlay> overlay,
-                     std::shared_ptr<const EdgeBlockStore> storage)
+                     std::shared_ptr<const EdgeBlockStore> storage,
+                     std::shared_ptr<BaseDerivedData> derived)
     : base_(std::move(base)),
       overlay_(std::move(overlay)),
-      storage_(std::move(storage)) {
+      storage_(std::move(storage)),
+      derived_(std::move(derived)) {
   // An out-of-core overlay carries the base's block store; inherit it so
   // callers constructing a view from an overlay need no extra plumbing.
   if (storage_ == nullptr && overlay_ != nullptr) {
@@ -25,7 +26,14 @@ GraphView::GraphView(std::shared_ptr<const CsrGraph> base,
   // lazily allocated index would be private to whichever copy built it.
   // Push-only paths pay one small allocation per view construction and
   // never touch it again.
-  if (base_ != nullptr) reverse_ = std::make_shared<ReverseIndex>();
+  if (base_ != nullptr) {
+    reverse_ = std::make_shared<ReverseIndex>();
+    if (derived_ == nullptr) {
+      derived_ = std::make_shared<BaseDerivedData>(base_, storage_);
+    }
+    HYT_CHECK(derived_->base() == base_)
+        << "derived data is anchored on a different base snapshot";
+  }
   if (overlay_ != nullptr && overlay_->empty()) overlay_.reset();
   if (overlay_ == nullptr) return;
   pin_ = OverlayPin(overlay_);
@@ -34,83 +42,31 @@ GraphView::GraphView(std::shared_ptr<const CsrGraph> base,
   index_ = std::make_shared<OffsetIndex>();
 }
 
-void GraphView::EnsureReverse() const {
+Status GraphView::EnsureReverse() const {
   ReverseIndex& reverse = *reverse_;
-  std::call_once(reverse.once, [&] {
-    // Copy (don't move) the seed: reverse_base_if_built must keep handing
-    // it to concurrent harvesters (Engine::ApplyMutations seeding the next
-    // epoch) for as long as `built` is false — moving it out here would
-    // open a window where the transpose is invisible to both paths and a
-    // racing epoch publication rebuilds it. It is dropped below, only
-    // after `built` makes the finished base visible.
-    std::shared_ptr<const CsrGraph> seed;
-    std::shared_ptr<const EdgeBlockStore> seed_store;
-    {
-      std::lock_guard<std::mutex> lock(reverse.seed_mu);
-      seed = reverse.seed;
-      seed_store = reverse.seed_store;
-    }
-    if (seed != nullptr) {
-      reverse.base = std::move(seed);
-      reverse.store = std::move(seed_store);
-    } else if (base_->edges_resident()) {
-      Result<CsrGraph> transposed = ReverseGraph(*base_);
-      // ReverseGraph only fails on internal invariant breakage; surface it
-      // loudly rather than handing pull kernels a null adjacency.
-      HYT_CHECK(transposed.ok())
-          << "reverse-view build failed: " << transposed.status().ToString();
-      reverse.base =
-          std::make_shared<const CsrGraph>(std::move(transposed).value());
-    } else {
-      // Out-of-core base: stream the transpose. Counting pass from the
-      // in-degree cache (materialized before the spill), fill pass over
-      // ascending source blocks with one lease, then spill the transpose
-      // into a sibling block file so it obeys the same byte budget.
-      HYT_CHECK(storage_ != nullptr)
-          << "base edge arrays released without a block store";
-      Result<CsrGraph> transposed = StreamedTranspose();
-      HYT_CHECK(transposed.ok())
-          << "streamed reverse-view build failed: "
-          << transposed.status().ToString();
-      std::shared_ptr<CsrGraph> rbase =
-          std::make_shared<CsrGraph>(std::move(transposed).value());
-      Result<std::shared_ptr<EdgeBlockStore>> rstore =
-          storage_->SpillSibling(rbase);
-      if (rstore.ok()) {
-        rbase->ReleaseEdgeData();
-        reverse.store = std::move(rstore).value();
-      } else {
-        HYT_LOG(Warning) << "transpose spill failed, keeping it resident: "
-                         << rstore.status().ToString();
-      }
-      reverse.base = std::move(rbase);
-    }
-    if (overlay_ != nullptr) {
-      // Reverse-index the overlay by forward target: edges *into* v are
-      // the transpose row of v filtered by tombstones on (source -> v)
-      // plus the overlay inserts targeting v.
-      overlay_->ForEachDeltaVertex([&](VertexId u) {
-        overlay_->ForEachTombstone(u, [&](VertexId dst) {
-          reverse.deltas[dst].tombstone_sources.push_back(u);
-        });
-        overlay_->ForEachInsert(u, [&](VertexId dst, Weight w) {
-          reverse.deltas[dst].inserts.emplace_back(u, w);
-        });
+  if (reverse.built.load(std::memory_order_acquire)) return Status::OK();
+  std::lock_guard<std::mutex> lock(reverse.mu);
+  if (reverse.built.load(std::memory_order_relaxed)) return Status::OK();
+  HYT_ASSIGN_OR_RETURN(reverse.base, derived_->Transpose());
+  if (overlay_ != nullptr) {
+    // Reverse-index the overlay by forward target: edges *into* v are the
+    // transpose row of v filtered by tombstones on (source -> v) plus the
+    // overlay inserts targeting v.
+    overlay_->ForEachDeltaVertex([&](VertexId u) {
+      overlay_->ForEachTombstone(u, [&](VertexId dst) {
+        reverse.deltas[dst].tombstone_sources.push_back(u);
       });
-      for (auto& [v, delta] : reverse.deltas) {
-        std::sort(delta.tombstone_sources.begin(),
-                  delta.tombstone_sources.end());
-      }
+      overlay_->ForEachInsert(u, [&](VertexId dst, Weight w) {
+        reverse.deltas[dst].inserts.emplace_back(u, w);
+      });
+    });
+    for (auto& [v, delta] : reverse.deltas) {
+      std::sort(delta.tombstone_sources.begin(),
+                delta.tombstone_sources.end());
     }
-    reverse.built.store(true, std::memory_order_release);
-    {
-      // Harvesters now read `base` via the built flag; the seed's job is
-      // done (when adopted, base aliases it anyway).
-      std::lock_guard<std::mutex> lock(reverse.seed_mu);
-      reverse.seed.reset();
-      reverse.seed_store.reset();
-    }
-  });
+  }
+  reverse.built.store(true, std::memory_order_release);
+  return Status::OK();
 }
 
 const std::vector<EdgeId>& GraphView::Offsets() const {
@@ -126,48 +82,6 @@ const std::vector<EdgeId>& GraphView::Offsets() const {
     }
   });
   return index.offsets;
-}
-
-Result<CsrGraph> GraphView::StreamedTranspose() const {
-  const VertexId n = base_->num_vertices();
-  const bool weighted = base_->is_weighted();
-  const std::vector<uint32_t>& in_degrees = base_->in_degrees();
-
-  std::vector<EdgeId> row_offsets(static_cast<size_t>(n) + 1, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    row_offsets[v + 1] = row_offsets[v] + in_degrees[v];
-  }
-  std::vector<VertexId> column_index(base_->num_edges());
-  std::vector<Weight> edge_weights;
-  if (weighted) edge_weights.resize(base_->num_edges());
-
-  std::vector<EdgeId> cursor(row_offsets.begin(), row_offsets.end() - 1);
-  BlockRef lease;
-  for (VertexId u = 0; u < n; ++u) {
-    const AdjacencyRun run = storage_->Fetch(u, &lease);
-    for (size_t e = 0; e < run.targets.size(); ++e) {
-      const VertexId dst = run.targets[e];
-      const EdgeId slot = cursor[dst]++;
-      column_index[slot] = u;
-      if (weighted) edge_weights[slot] = run.weights[e];
-    }
-  }
-  return CsrGraph::Create(std::move(row_offsets), std::move(column_index),
-                          std::move(edge_weights));
-}
-
-std::vector<uint32_t> GraphView::InDegrees() const {
-  std::vector<uint32_t> in_degrees = base_->in_degrees();
-  if (overlay_ == nullptr) return in_degrees;
-  BlockRef lease;
-  overlay_->ForEachDeltaVertex([&](VertexId v) {
-    for (VertexId nbr : BaseRun(v, &lease).targets) {
-      if (overlay_->IsTombstoned(v, nbr)) --in_degrees[nbr];
-    }
-    overlay_->ForEachInsert(
-        v, [&](VertexId dst, Weight /*w*/) { ++in_degrees[dst]; });
-  });
-  return in_degrees;
 }
 
 Result<CsrGraph> GraphView::Materialize() const {

@@ -25,11 +25,11 @@
 // overlay (inserts and tombstones keyed by forward target), so
 // ForEachInNeighbor sees exactly the in-edges of the mutated graph with the
 // same zero-fold guarantee as the forward path. The transpose is O(E) to
-// build; it is cached per view, shared by all copies, and handed from one
-// epoch's view to the next over the same base via SeedReverseBase — the
-// Engine re-seeds on every mutation publication, so the transpose is built
-// at most once per physical layout (a fold/compaction changes the base and
-// drops the seed). The per-epoch reverse overlay index is O(delta).
+// build and belongs to the base snapshot: it lives in the base's
+// BaseDerivedData record, which the Engine hands to every view it publishes
+// over that base, so it is built at most once per base (a fold publishes a
+// new base with a new record). Only the reverse overlay index is per view,
+// O(delta).
 //
 // A view is a cheap value type (a handful of shared_ptrs): copies share the
 // base, overlay, offset index, and reverse index, and holders pin all graph
@@ -55,9 +55,11 @@
 #include <vector>
 
 #include "dynamic/delta_overlay.h"
+#include "graph/base_derived.h"
 #include "graph/csr_graph.h"
 #include "graph/types.h"
 #include "storage/edge_block_store.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace hytgraph {
@@ -74,9 +76,14 @@ class GraphView {
   /// `storage` streams the base adjacency when the base's edge arrays are
   /// spilled out of core; when null it is inherited from the overlay (so a
   /// view over an out-of-core overlay streams without extra plumbing).
+  ///
+  /// `derived` is the base's shared derived-data record (transpose, hub
+  /// sorts); it must be anchored on `base`. When null the view creates a
+  /// private one, shared only by its copies.
   explicit GraphView(std::shared_ptr<const CsrGraph> base,
                      std::shared_ptr<const DeltaOverlay> overlay = nullptr,
-                     std::shared_ptr<const EdgeBlockStore> storage = nullptr);
+                     std::shared_ptr<const EdgeBlockStore> storage = nullptr,
+                     std::shared_ptr<BaseDerivedData> derived = nullptr);
 
   /// Non-owning view of a caller-owned graph (no overlay). The graph must
   /// outlive the view.
@@ -99,6 +106,8 @@ class GraphView {
   const std::shared_ptr<const EdgeBlockStore>& storage() const {
     return storage_;
   }
+  /// The base snapshot's derived-data record (null on an empty view).
+  const std::shared_ptr<BaseDerivedData>& derived() const { return derived_; }
   /// True when the base adjacency streams from the edge-block store (the
   /// overlay, if any, always stays in memory).
   bool base_streamed() const { return storage_ != nullptr; }
@@ -192,11 +201,6 @@ class GraphView {
     }
   }
 
-  /// In-degrees of the mutated graph (base in-degrees adjusted by the
-  /// overlay). Hub scoring (formula (4)) uses these so the hub order of a
-  /// view matches the hub order of its folded CSR.
-  std::vector<uint32_t> InDegrees() const;
-
   /// Bytes of host-resident edge-associated data of the mutated graph.
   uint64_t EdgeDataBytes() const {
     const uint64_t per_edge =
@@ -217,73 +221,26 @@ class GraphView {
   /// --- Reverse side (pull-direction processing) ---
 
   /// Builds the reverse adjacency once per view (thread-safe, no-op after
-  /// the first call): the transpose of the base — adopted from
-  /// SeedReverseBase when an earlier same-base view already built it,
-  /// otherwise O(E) via the reversal transform — plus an O(delta) reverse
-  /// index of the overlay. Must have completed before the lock-free
-  /// in-neighbor readers below run.
-  void EnsureReverse() const;
+  /// the first success): the base's transpose from the shared
+  /// BaseDerivedData record (built there at most once per base), plus an
+  /// O(delta) reverse index of the overlay. Must have succeeded before the
+  /// lock-free in-neighbor readers below run. Returns kUnavailable —
+  /// memoizing nothing, so the next call retries — when an out-of-core
+  /// transpose build lost a block load.
+  Status EnsureReverse() const;
 
   /// The transpose of the base CSR, building the reverse side on first use.
-  const CsrGraph& ReverseBase() const {
-    EnsureReverse();
-    return *reverse_->base;
-  }
-  /// Shared ownership of the transpose (builds on first use). The Engine
-  /// harvests this to seed the next epoch's view over the same base.
+  /// This accessor and the ones below abort on a failed build; callers that
+  /// may stream from storage call EnsureReverse first and handle its status.
   std::shared_ptr<const CsrGraph> reverse_base_ptr() const {
-    EnsureReverse();
-    return reverse_->base;
-  }
-  /// The cached transpose if some holder of this view already built it —
-  /// or the unconsumed seed an earlier same-base view handed over (so
-  /// back-to-back mutation epochs with no pull in between keep passing the
-  /// transpose along instead of dropping it). Null otherwise; never
-  /// triggers a build.
-  std::shared_ptr<const CsrGraph> reverse_base_if_built() const {
-    if (reverse_ == nullptr) return nullptr;
-    if (reverse_->built.load(std::memory_order_acquire)) {
-      return reverse_->base;
-    }
-    std::lock_guard<std::mutex> lock(reverse_->seed_mu);
-    return reverse_->seed;
-  }
-  /// Block store of the transpose when it was spilled out of core (null on
-  /// a resident transpose). Same built-or-seed semantics as
-  /// reverse_base_if_built; the Engine harvests this alongside the base.
-  std::shared_ptr<const EdgeBlockStore> reverse_store_if_built() const {
-    if (reverse_ == nullptr) return nullptr;
-    if (reverse_->built.load(std::memory_order_acquire)) {
-      return reverse_->store;
-    }
-    std::lock_guard<std::mutex> lock(reverse_->seed_mu);
-    return reverse_->seed_store;
-  }
-
-  /// Seeds the reverse-base cache with a transpose built by an earlier view
-  /// over the *same base snapshot*, so EnsureReverse skips the O(E)
-  /// rebuild. Ignored when null, mismatched, or already built. Callers
-  /// (the Engine's mutation publication) guarantee base identity; the
-  /// dimension check here only guards against obvious misuse.
-  /// `reverse_store` carries the transpose's block store when its edge
-  /// arrays live out of core (null for a resident transpose).
-  void SeedReverseBase(
-      std::shared_ptr<const CsrGraph> reverse_base,
-      std::shared_ptr<const EdgeBlockStore> reverse_store = nullptr) const {
-    if (reverse_ == nullptr || reverse_base == nullptr) return;
-    if (reverse_base->num_vertices() != base_->num_vertices() ||
-        reverse_base->num_edges() != base_->num_edges()) {
-      return;
-    }
-    std::lock_guard<std::mutex> lock(reverse_->seed_mu);
-    reverse_->seed = std::move(reverse_base);
-    reverse_->seed_store = std::move(reverse_store);
+    EnsureReverseOrDie();
+    return reverse_->base->graph;
   }
 
   /// Whether v has in-edges touched by the overlay (tombstoned or inserted
   /// edges *into* v). Builds the reverse side on first use.
   bool HasReverseDelta(VertexId v) const {
-    EnsureReverse();
+    EnsureReverseOrDie();
     return !reverse_->deltas.empty() && reverse_->deltas.contains(v);
   }
 
@@ -293,7 +250,7 @@ class GraphView {
   /// Builds the reverse side on first use.
   template <typename Fn>
   void ForEachInNeighbor(VertexId v, Fn&& fn) const {
-    EnsureReverse();
+    EnsureReverseOrDie();
     ForEachInNeighborWhile(v, [&](VertexId u, Weight w) {
       fn(u, w);
       return true;
@@ -317,12 +274,12 @@ class GraphView {
     const ReverseIndex& reverse = *reverse_;
     std::span<const VertexId> sources;
     std::span<const Weight> wts;
-    if (reverse.store != nullptr) {
-      const AdjacencyRun run = reverse.store->Fetch(v, lease);
+    if (reverse.base->store != nullptr) {
+      const AdjacencyRun run = reverse.base->store->Fetch(v, lease);
       sources = run.targets;
       wts = run.weights;
     } else {
-      const CsrGraph& rbase = *reverse.base;
+      const CsrGraph& rbase = *reverse.base->graph;
       sources = rbase.neighbors(v);
       wts = rbase.weights(v);
     }
@@ -362,10 +319,11 @@ class GraphView {
   /// The logical row offsets, building them on first use (thread-safe).
   const std::vector<EdgeId>& Offsets() const;
 
-  /// Transpose of an out-of-core base, built by streaming the forward
-  /// blocks (counting pass from the cached in-degrees, fill pass over
-  /// ascending source blocks with one lease).
-  Result<CsrGraph> StreamedTranspose() const;
+  void EnsureReverseOrDie() const {
+    const Status status = EnsureReverse();
+    HYT_CHECK(status.ok()) << "reverse-view build failed: "
+                           << status.ToString();
+  }
 
   /// One vertex's in-edge delta: edges into the keyed vertex that the
   /// overlay inserted or tombstoned, indexed by forward *target* (= reverse
@@ -381,20 +339,13 @@ class GraphView {
   };
 
   /// The lazily built reverse adjacency. Shared by all copies of the view;
-  /// built once under the once_flag, immutable after (readers are
-  /// lock-free).
+  /// built once under `mu` (a failed build leaves it unbuilt), immutable
+  /// after `built` (readers are lock-free).
   struct ReverseIndex {
-    std::once_flag once;
-    std::mutex seed_mu;
-    /// A pre-built transpose handed over from an earlier same-base view
-    /// (consumed by the build), with its block store when out of core.
-    std::shared_ptr<const CsrGraph> seed;
-    std::shared_ptr<const EdgeBlockStore> seed_store;
-    std::shared_ptr<const CsrGraph> base;  // transpose of base_
-    /// Streams the transpose adjacency when it was spilled; null otherwise.
-    std::shared_ptr<const EdgeBlockStore> store;
-    std::unordered_map<VertexId, ReverseVertexDelta> deltas;
+    std::mutex mu;
     std::atomic<bool> built{false};
+    std::shared_ptr<const TransposedBase> base;  // shared per base snapshot
+    std::unordered_map<VertexId, ReverseVertexDelta> deltas;
   };
 
   std::shared_ptr<const CsrGraph> base_;
@@ -408,6 +359,7 @@ class GraphView {
   /// Streams base adjacency when the base is out of core; null otherwise.
   std::shared_ptr<const EdgeBlockStore> storage_;
   std::shared_ptr<OffsetIndex> index_;           // non-null iff overlay_
+  std::shared_ptr<BaseDerivedData> derived_;     // non-null iff base_
   std::shared_ptr<ReverseIndex> reverse_;        // non-null iff base_
 };
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "dynamic/mutation.h"
-#include "util/logging.h"
 
 namespace hytgraph {
 
@@ -104,49 +103,37 @@ Result<CsrGraph> RelabelCsr(const CsrGraph& graph, const EdgeBlockStore* store,
                           std::move(edge_weights));
 }
 
-std::vector<double> ScoresFromDegrees(
-    const VertexId n, const std::vector<uint32_t>& in_degrees,
-    const auto& out_degree_of) {
+}  // namespace
+
+std::vector<double> ComputeHubScores(const CsrGraph& graph) {
+  const VertexId n = graph.num_vertices();
   std::vector<double> scores(n, 0.0);
   if (n == 0) return scores;
+  const std::vector<uint32_t>& in_degrees = graph.in_degrees();
   uint64_t do_max = 0;
   uint32_t di_max = 0;
   for (VertexId v = 0; v < n; ++v) {
-    do_max = std::max<uint64_t>(do_max, out_degree_of(v));
+    do_max = std::max<uint64_t>(do_max, graph.out_degree(v));
     di_max = std::max(di_max, in_degrees[v]);
   }
   const double denom = std::max(1.0, static_cast<double>(do_max)) *
                        std::max(1.0, static_cast<double>(di_max));
   for (VertexId v = 0; v < n; ++v) {
-    scores[v] = static_cast<double>(out_degree_of(v)) *
+    scores[v] = static_cast<double>(graph.out_degree(v)) *
                 static_cast<double>(in_degrees[v]) / denom;
   }
   return scores;
 }
 
-}  // namespace
-
-std::vector<double> ComputeHubScores(const CsrGraph& graph) {
-  if (graph.num_vertices() == 0) return {};
-  return ScoresFromDegrees(graph.num_vertices(), graph.in_degrees(),
-                           [&](VertexId v) { return graph.out_degree(v); });
-}
-
-std::vector<double> ComputeHubScores(const GraphView& view) {
-  if (view.num_vertices() == 0) return {};
-  return ScoresFromDegrees(view.num_vertices(), view.InDegrees(),
-                           [&](VertexId v) { return view.out_degree(v); });
-}
-
-Result<HubSortResult> HubSort(const CsrGraph& graph, double hub_fraction) {
+Result<HubSortResult> HubSort(const CsrGraph& graph, double hub_fraction,
+                              const EdgeBlockStore* store) {
   if (hub_fraction < 0.0 || hub_fraction > 1.0) {
     return Status::InvalidArgument("hub_fraction must be in [0, 1]");
   }
   HubOrder order = BuildHubOrder(ComputeHubScores(graph), hub_fraction);
   HubSortResult result;
   result.num_hubs = order.num_hubs;
-  HYT_ASSIGN_OR_RETURN(result.graph, RelabelCsr(graph, /*store=*/nullptr,
-                                                order));
+  HYT_ASSIGN_OR_RETURN(result.graph, RelabelCsr(graph, store, order));
   result.old_to_new = std::move(order.old_to_new);
   result.new_to_old = std::move(order.new_to_old);
   return result;
@@ -154,32 +141,9 @@ Result<HubSortResult> HubSort(const CsrGraph& graph, double hub_fraction) {
 
 Result<HubSortViewResult> HubSortView(const GraphView& view,
                                       double hub_fraction) {
-  if (hub_fraction < 0.0 || hub_fraction > 1.0) {
-    return Status::InvalidArgument("hub_fraction must be in [0, 1]");
-  }
-  HubOrder order = BuildHubOrder(ComputeHubScores(view), hub_fraction);
-
-  HYT_ASSIGN_OR_RETURN(
-      CsrGraph relabeled_base,
-      RelabelCsr(view.base(), view.storage().get(), order));
-  auto sorted_base = std::make_shared<CsrGraph>(std::move(relabeled_base));
-
-  // When the source base streams, the relabeled copy must too — spill it
-  // into a sibling block file (shared cache and budget) before anything
-  // downstream reads adjacency.
-  std::shared_ptr<const EdgeBlockStore> sorted_store;
-  if (view.base_streamed()) {
-    Result<std::shared_ptr<EdgeBlockStore>> spilled =
-        view.storage()->SpillSibling(sorted_base);
-    if (spilled.ok()) {
-      sorted_store = std::move(spilled).value();
-      sorted_base->ReleaseEdgeData();
-    } else {
-      HYT_LOG(Warning) << "hub-sorted base spill failed, keeping it "
-                          "resident: "
-                       << spilled.status().ToString();
-    }
-  }
+  HubSortViewResult result;
+  HYT_ASSIGN_OR_RETURN(result.sorted, view.derived()->HubSorted(hub_fraction));
+  const HubSortedBase& sorted = *result.sorted;
 
   std::shared_ptr<const DeltaOverlay> remapped;
   if (view.has_overlay()) {
@@ -187,29 +151,25 @@ Result<HubSortViewResult> HubSortView(const GraphView& view,
     // suppresses the same relabeled base edges it suppressed originally —
     // Apply's "delete all src->dst" semantics match tombstones exactly),
     // then the inserts, so a deletion never erases a surviving insert.
+    const std::vector<VertexId>& old_to_new = sorted.old_to_new;
     const DeltaOverlay& overlay = *view.overlay_ptr();
     MutationBatch replay;
     overlay.ForEachDeltaVertex([&](VertexId v) {
       overlay.ForEachTombstone(v, [&](VertexId dst) {
-        replay.DeleteEdge(order.old_to_new[v], order.old_to_new[dst]);
+        replay.DeleteEdge(old_to_new[v], old_to_new[dst]);
       });
     });
     overlay.ForEachDeltaVertex([&](VertexId v) {
       overlay.ForEachInsert(v, [&](VertexId dst, Weight w) {
-        replay.InsertEdge(order.old_to_new[v], order.old_to_new[dst], w);
+        replay.InsertEdge(old_to_new[v], old_to_new[dst], w);
       });
     });
-    auto target = std::make_shared<DeltaOverlay>(sorted_base, sorted_store);
+    auto target = std::make_shared<DeltaOverlay>(sorted.graph, sorted.store);
     HYT_RETURN_NOT_OK(target->Apply(replay).status());
     remapped = std::move(target);
   }
-
-  HubSortViewResult result;
-  result.view = GraphView(std::move(sorted_base), std::move(remapped),
-                          std::move(sorted_store));
-  result.old_to_new = std::move(order.old_to_new);
-  result.new_to_old = std::move(order.new_to_old);
-  result.num_hubs = order.num_hubs;
+  result.view =
+      GraphView(sorted.graph, std::move(remapped), sorted.store, sorted.derived);
   return result;
 }
 

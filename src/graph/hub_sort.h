@@ -8,14 +8,22 @@
 // keep their natural order after them. The returned graph is relabeled
 // accordingly. This is a one-off preprocessing step: all algorithms run on
 // the reordered graph, and results can be mapped back with `new_to_old`.
+//
+// On a mutating graph the order belongs to the base snapshot: it is scored
+// on the base CSR's degrees, built once per base (BaseDerivedData), and
+// recomputed only when a fold publishes a new base. Every epoch's view
+// reuses that relabeled base and remaps only its O(delta) overlay.
 
 #ifndef HYTGRAPH_GRAPH_HUB_SORT_H_
 #define HYTGRAPH_GRAPH_HUB_SORT_H_
 
+#include <memory>
 #include <vector>
 
+#include "graph/base_derived.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_view.h"
+#include "storage/edge_block_store.h"
 #include "util/status.h"
 
 namespace hytgraph {
@@ -30,31 +38,26 @@ struct HubSortResult {
 /// Computes importance H(v) for every vertex (formula (4)).
 std::vector<double> ComputeHubScores(const CsrGraph& graph);
 
-/// H(v) of the live view: degrees are overlay-adjusted, so the scores (and
-/// therefore the hub order) are those of the folded CSR even while a delta
-/// is pending.
-std::vector<double> ComputeHubScores(const GraphView& view);
-
 /// Reorders `graph` gathering the top `hub_fraction` of vertices by H(v) at
-/// the front. hub_fraction must be in [0, 1].
-Result<HubSortResult> HubSort(const CsrGraph& graph, double hub_fraction = 0.08);
+/// the front. hub_fraction must be in [0, 1]. `store` streams the adjacency
+/// when the graph's edge arrays are out of core (null for a resident graph).
+Result<HubSortResult> HubSort(const CsrGraph& graph, double hub_fraction = 0.08,
+                              const EdgeBlockStore* store = nullptr);
 
 struct HubSortViewResult {
-  /// Relabeled view: the relabeled *base* CSR with the overlay remapped
-  /// through the permutation on top. The view's edge set equals the
-  /// relabeled mutated graph, but no fold is performed — the O(E) work is
-  /// the base relabel the hub sort pays anyway, and the overlay remap is
-  /// O(delta).
+  /// Relabeled view: the hub-sorted base with the overlay remapped through
+  /// the permutation on top. The view's edge set equals the relabeled
+  /// mutated graph, but no fold is performed — the relabeled base is shared
+  /// by every view over the same base, and the overlay remap is O(delta).
   GraphView view;
-  std::vector<VertexId> old_to_new;
-  std::vector<VertexId> new_to_old;
-  VertexId num_hubs = 0;
+  /// The shared relabeled base and its permutation.
+  std::shared_ptr<const HubSortedBase> sorted;
 };
 
-/// Hub-sorts a live view. The permutation comes from the view's (mutated)
-/// degree statistics, so it is identical to hub-sorting the folded CSR —
-/// preparations built on a view and on its compacted snapshot relabel the
-/// same way.
+/// Hub-sorts a live view. The permutation is the one of the view's base
+/// snapshot (built once per base, see BaseDerivedData::HubSorted), so every
+/// epoch between two folds relabels the same way; it lags the view's
+/// mutated degrees by at most the pending delta.
 Result<HubSortViewResult> HubSortView(const GraphView& view,
                                       double hub_fraction = 0.08);
 

@@ -200,8 +200,8 @@ TEST(GraphViewReverseTest, TransposeBuiltOncePerLayoutAndDroppedOnCompact) {
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(engine.View().reverse_base_ptr().get(), first.get());
 
-  // A mutation epoch keeps the base snapshot, so the new view is seeded
-  // with the already-built transpose instead of rebuilding it.
+  // A mutation epoch keeps the base snapshot, so the new view shares the
+  // base's already-built transpose instead of rebuilding it.
   MutationBatch batch;
   batch.InsertEdge(1, 2);
   batch.DeleteEdge(0, engine.graph().neighbors(0).empty()
@@ -210,8 +210,8 @@ TEST(GraphViewReverseTest, TransposeBuiltOncePerLayoutAndDroppedOnCompact) {
   ASSERT_TRUE(engine.ApplyMutations(batch).ok());
   EXPECT_EQ(engine.View().reverse_base_ptr().get(), first.get());
 
-  // Back-to-back epochs with no pull in between: the unconsumed seed must
-  // be handed along, not dropped with the intermediate view.
+  // Back-to-back epochs with no pull in between still share it: the
+  // transpose belongs to the base, not to any one epoch's view.
   MutationBatch second;
   second.InsertEdge(2, 3);
   ASSERT_TRUE(engine.ApplyMutations(second).ok());
@@ -219,6 +219,7 @@ TEST(GraphViewReverseTest, TransposeBuiltOncePerLayoutAndDroppedOnCompact) {
   third.InsertEdge(3, 4);
   ASSERT_TRUE(engine.ApplyMutations(third).ok());
   EXPECT_EQ(engine.View().reverse_base_ptr().get(), first.get());
+  EXPECT_EQ(engine.cache_stats().transposes, 1u);
 
   // A fold publishes a new base: the transpose is invalidated with it.
   ASSERT_TRUE(engine.Compact().ok());
@@ -229,15 +230,18 @@ TEST(GraphViewReverseTest, TransposeBuiltOncePerLayoutAndDroppedOnCompact) {
   ExpectReverseMatchesFolded(engine.View());
 }
 
-TEST(GraphViewReverseTest, SeedIgnoredWhenMismatched) {
+TEST(GraphViewReverseTest, ViewsSharingADerivedRecordShareOneTranspose) {
   auto base = Shared(PaperFigure1Graph());
-  const GraphView view(base);
-  // A transpose of a *different* graph must not be adopted.
-  auto wrong = Shared(StarGraph(32));
-  view.SeedReverseBase(wrong);
-  EXPECT_EQ(view.ReverseBase().num_vertices(), base->num_vertices());
-  for (VertexId v = 0; v < view.num_vertices(); ++v) {
-    EXPECT_EQ(InEdgesOf(view, v), ReferenceInEdgesOf(*base, v));
+  const GraphView first(base);
+  // A second view over the same base with the first one's record (what the
+  // Engine does across epochs) adopts its transpose; a view without a
+  // record builds a private one.
+  const GraphView sharing(base, nullptr, nullptr, first.derived());
+  const GraphView separate(base);
+  EXPECT_EQ(sharing.reverse_base_ptr().get(), first.reverse_base_ptr().get());
+  EXPECT_NE(separate.reverse_base_ptr().get(), first.reverse_base_ptr().get());
+  for (VertexId v = 0; v < sharing.num_vertices(); ++v) {
+    EXPECT_EQ(InEdgesOf(sharing, v), ReferenceInEdgesOf(*base, v));
   }
 }
 

@@ -109,17 +109,6 @@ TEST(GraphViewTest, MergedIterationMatchesTheFoldedAdjacency) {
   }
 }
 
-TEST(GraphViewTest, InDegreesMatchTheFoldedGraph) {
-  auto base = Shared(SmallRmat(8, 5));
-  auto overlay = std::make_shared<DeltaOverlay>(base);
-  ASSERT_TRUE(overlay->Apply(MixedBatch(*base, 80, 60, 5)).ok());
-  const GraphView view(base, std::shared_ptr<const DeltaOverlay>(overlay));
-
-  auto folded = view.Materialize();
-  ASSERT_TRUE(folded.ok());
-  EXPECT_EQ(view.InDegrees(), folded->in_degrees());
-}
-
 TEST(GraphViewTest, EdgeDeltaInRangeAccountsForInsertsAndTombstones) {
   auto base = Shared(PaperFigure1Graph());
   auto overlay = std::make_shared<DeltaOverlay>(base);
