@@ -1,6 +1,6 @@
-// Builds CsrGraph from COO edge lists: counting sort by source, optional
-// self-loop removal, optional deduplication, optional symmetrization
-// (for undirected datasets like the friendster graphs).
+// Builds CsrGraph from COO edge lists: a parallel counting sort by source,
+// optional self-loop removal, optional deduplication, optional
+// symmetrization (for undirected datasets like the friendster graphs).
 
 #ifndef HYTGRAPH_GRAPH_GRAPH_BUILDER_H_
 #define HYTGRAPH_GRAPH_GRAPH_BUILDER_H_
@@ -23,7 +23,11 @@ struct BuilderOptions {
 };
 
 /// Builds a CSR with exactly `num_vertices` vertices (isolated vertices are
-/// allowed) from the given edges. Fails if any endpoint is out of range.
+/// allowed) from the given edges. Each row is sorted by (dst, weight); with
+/// `deduplicate` only the lowest-weight edge of each (src, dst) pair stays.
+/// Fails, naming the first such edge in input order, if any endpoint is out
+/// of range. Runs on ThreadPool::Default(); the result does not depend on
+/// the thread count.
 Result<CsrGraph> BuildCsr(VertexId num_vertices, std::vector<Edge> edges,
                           const BuilderOptions& options = {});
 

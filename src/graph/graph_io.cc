@@ -1,9 +1,12 @@
 #include "graph/graph_io.h"
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "graph/graph_builder.h"
@@ -36,10 +39,14 @@ bool ReadPod(std::ifstream& in, T* value) {
   return in.good();
 }
 
+/// Reads a count-prefixed array. A count larger than the bytes left in the
+/// file fails before anything is allocated.
 template <typename T>
-bool ReadVector(std::ifstream& in, std::vector<T>* data) {
+bool ReadVector(std::ifstream& in, uint64_t file_size, std::vector<T>* data) {
   uint64_t count = 0;
   if (!ReadPod(in, &count)) return false;
+  const auto pos = static_cast<uint64_t>(in.tellg());
+  if (pos > file_size || count > (file_size - pos) / sizeof(T)) return false;
   data->resize(count);
   in.read(reinterpret_cast<char*>(data->data()),
           static_cast<std::streamsize>(count * sizeof(T)));
@@ -63,10 +70,12 @@ Status SaveCsrBinary(const CsrGraph& graph, const std::string& path) {
 }
 
 Result<CsrGraph> LoadCsrBinary(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.is_open()) {
     return Status::IOError("cannot open for reading: " + path);
   }
+  const auto file_size = static_cast<uint64_t>(in.tellg());
+  in.seekg(0);
   uint64_t magic = 0;
   uint32_t version = 0;
   if (!ReadPod(in, &magic) || magic != kMagic) {
@@ -78,8 +87,9 @@ Result<CsrGraph> LoadCsrBinary(const std::string& path) {
   std::vector<EdgeId> row_offsets;
   std::vector<VertexId> column_index;
   std::vector<Weight> edge_weights;
-  if (!ReadVector(in, &row_offsets) || !ReadVector(in, &column_index) ||
-      !ReadVector(in, &edge_weights)) {
+  if (!ReadVector(in, file_size, &row_offsets) ||
+      !ReadVector(in, file_size, &column_index) ||
+      !ReadVector(in, file_size, &edge_weights)) {
     return Status::IOError("truncated HYTG CSR file: " + path);
   }
   return CsrGraph::Create(std::move(row_offsets), std::move(column_index),
@@ -107,7 +117,17 @@ Result<CsrGraph> LoadEdgeListText(const std::string& path,
       return Status::IOError("parse error at " + path + ":" +
                              std::to_string(line_no));
     }
-    ss >> weight;  // optional third column
+    std::string weight_token;
+    if (ss >> weight_token) {  // optional third column
+      const char* first = weight_token.data();
+      const char* last = first + weight_token.size();
+      const auto [end, ec] = std::from_chars(first, last, weight);
+      if (ec != std::errc() || end != last ||
+          weight > std::numeric_limits<Weight>::max()) {
+        return Status::IOError("bad weight '" + weight_token + "' at " +
+                               path + ":" + std::to_string(line_no));
+      }
+    }
     if (src > kInvalidVertex - 1 || dst > kInvalidVertex - 1) {
       return Status::IOError("vertex id too large at " + path + ":" +
                              std::to_string(line_no));

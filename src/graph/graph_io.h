@@ -16,12 +16,15 @@ namespace hytgraph {
 /// sizes + raw arrays, little endian).
 Status SaveCsrBinary(const CsrGraph& graph, const std::string& path);
 
-/// Reads a graph previously written by SaveCsrBinary. Validates structure.
+/// Reads a graph previously written by SaveCsrBinary. Validates structure;
+/// a truncated or corrupt file is an IOError, never an abort.
 Result<CsrGraph> LoadCsrBinary(const std::string& path);
 
 /// Parses a whitespace-separated edge list. Lines starting with '#' or '%'
 /// are comments. Vertices are numbered by their ids in the file; the vertex
-/// count is 1 + max id seen (or `num_vertices_hint` if larger).
+/// count is 1 + max id seen (or `num_vertices_hint` if larger). A missing
+/// weight column means weight 1; a weight that is not a decimal integer in
+/// [0, 2^32) is an IOError naming path:line.
 Result<CsrGraph> LoadEdgeListText(const std::string& path,
                                   VertexId num_vertices_hint = 0,
                                   bool weighted = true);

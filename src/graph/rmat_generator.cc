@@ -13,25 +13,21 @@ namespace hytgraph {
 
 namespace {
 
-/// Draws one R-MAT endpoint pair by recursive quadrant descent.
-void RmatEdge(Rng& rng, uint32_t scale, double a, double b, double c,
+/// Draws one R-MAT endpoint pair by recursive quadrant descent. `ab` and
+/// `abc` are the cumulative quadrant bounds a+b and a+b+c; since they are
+/// ordered, r's quadrant is (r >= a+b) for the source bit and
+/// (r >= a) ^ (r >= a+b) ^ (r >= a+b+c) for the destination bit.
+void RmatEdge(Rng& rng, uint32_t scale, double a, double ab, double abc,
               VertexId* src, VertexId* dst) {
   uint64_t s = 0;
   uint64_t d = 0;
   for (uint32_t bit = 0; bit < scale; ++bit) {
     const double r = rng.NextDouble();
-    s <<= 1;
-    d <<= 1;
-    if (r < a) {
-      // top-left quadrant: no bits set
-    } else if (r < a + b) {
-      d |= 1;
-    } else if (r < a + b + c) {
-      s |= 1;
-    } else {
-      s |= 1;
-      d |= 1;
-    }
+    const uint64_t ge_a = r >= a;
+    const uint64_t ge_ab = r >= ab;
+    const uint64_t ge_abc = r >= abc;
+    s = (s << 1) | ge_ab;
+    d = (d << 1) | (ge_a ^ ge_ab ^ ge_abc);
   }
   *src = static_cast<VertexId>(s);
   *dst = static_cast<VertexId>(d);
@@ -64,11 +60,10 @@ Result<CsrGraph> GenerateRmat(const RmatOptions& options) {
     }
   }
 
-  // Each shard owns a disjoint edge range and a private RNG derived from the
-  // seed and shard id, so output is independent of thread count... except for
-  // shard boundaries, which depend on pool size. To be fully deterministic we
-  // derive the RNG from the *edge block* (fixed 64K-edge blocks), not the
-  // shard.
+  // Each fixed 64K-edge block draws from a private RNG derived from the seed
+  // and the block id, so the output is independent of the thread count.
+  const double ab = options.a + options.b;
+  const double abc = ab + options.c;
   constexpr uint64_t kBlock = 64 * 1024;
   ThreadPool::Default()->ParallelFor(
       CeilDiv(m, kBlock),
@@ -81,8 +76,7 @@ Result<CsrGraph> GenerateRmat(const RmatOptions& options) {
             VertexId src;
             VertexId dst;
             do {
-              RmatEdge(rng, options.scale, options.a, options.b, options.c,
-                       &src, &dst);
+              RmatEdge(rng, options.scale, options.a, ab, abc, &src, &dst);
             } while (src == dst);  // drop self loops, redraw
             if (options.permute_vertices) {
               src = perm[src];

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "graph/degree_stats.h"
 
 namespace hytgraph {
@@ -89,6 +92,50 @@ TEST(DatasetTest, DegreesTrackTableFour) {
     const double expected =
         spec.symmetrize ? 2.0 * spec.edge_factor : spec.edge_factor;
     EXPECT_NEAR(avg_degree, expected, expected * 0.05) << spec.name;
+  }
+}
+
+// 64-bit FNV-1a over the bytes of the CSR arrays, in row_offsets,
+// column_index, edge_weights order.
+uint64_t GraphDigest(const CsrGraph& g) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](const auto& v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+    for (size_t i = 0; i < v.size() * sizeof(v[0]); ++i) {
+      h ^= p[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(g.row_offsets());
+  mix(g.column_index());
+  mix(g.edge_weights());
+  return h;
+}
+
+// The generated graphs are the input to every simulated-time figure, so the
+// builder and generator must reproduce them bit for bit. These digests are
+// the graphs as the sort-based builder produced them; a change here moves
+// every paper number.
+TEST(DatasetTest, GoldenGraphDigests) {
+  struct Golden {
+    const char* name;
+    uint32_t scale;
+    uint64_t digest;
+  };
+  const std::vector<Golden> golden = {
+      {"SK", 10, 0xd35016e96b740aefULL}, {"TW", 10, 0x9519cbe347474e23ULL},
+      {"FK", 10, 0xf9d9e7a4265acf06ULL}, {"UK", 10, 0xc43153eb725e15b1ULL},
+      {"FS", 10, 0x6c7856b1fe7401adULL},
+      // The benchmark's dataset: TW at scale 16 (2.42 M edges).
+      {"TW", 16, 0x2334c92f7566a65aULL},
+  };
+  for (const Golden& want : golden) {
+    DatasetSpec spec = FindDataset(want.name).value();
+    spec.scale = want.scale;
+    auto g = LoadDataset(spec);
+    ASSERT_TRUE(g.ok()) << want.name;
+    EXPECT_EQ(GraphDigest(*g), want.digest)
+        << want.name << " at scale " << want.scale;
   }
 }
 

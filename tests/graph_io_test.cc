@@ -70,6 +70,24 @@ TEST_F(GraphIoTest, LoadTruncatedFileIsIOError) {
   EXPECT_TRUE(result.status().IsIOError());
 }
 
+TEST_F(GraphIoTest, LoadHugeArrayCountIsIOError) {
+  // A valid header followed by an array count far beyond the file's size
+  // must fail cleanly instead of attempting the allocation.
+  const CsrGraph original = PaperFigure1Graph();
+  const std::string path = Path("corrupt.hytg");
+  ASSERT_TRUE(SaveCsrBinary(original, path).ok());
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(sizeof(uint64_t) + sizeof(uint32_t));  // magic + version
+    const uint64_t huge_count = uint64_t{1} << 61;
+    file.write(reinterpret_cast<const char*>(&huge_count), sizeof(huge_count));
+  }
+  auto result = LoadCsrBinary(path);
+  ASSERT_TRUE(result.status().IsIOError()) << result.status().ToString();
+  EXPECT_NE(result.status().message().find("truncated HYTG CSR file"),
+            std::string::npos);
+}
+
 TEST_F(GraphIoTest, EdgeListTextParsing) {
   const std::string path = Path("edges.txt");
   std::ofstream(path) << "# comment line\n"
@@ -99,6 +117,35 @@ TEST_F(GraphIoTest, EdgeListParseErrorNamesLine) {
   auto g = LoadEdgeListText(path);
   ASSERT_TRUE(g.status().IsIOError());
   EXPECT_NE(g.status().message().find(":2"), std::string::npos);
+}
+
+TEST_F(GraphIoTest, EdgeListBadWeightNamesLine) {
+  const struct {
+    const char* weight;
+    const char* why;
+  } cases[] = {
+      {"x", "non-numeric"},
+      {"4294967301", "above UINT32_MAX"},
+      {"-1", "negative"},
+      {"3.5", "fractional"},
+  };
+  for (const auto& c : cases) {
+    const std::string path = Path("bad_weight.txt");
+    std::ofstream(path) << "0 1 2\n1 2 " << c.weight << "\n";
+    auto g = LoadEdgeListText(path);
+    ASSERT_TRUE(g.status().IsIOError()) << c.why;
+    EXPECT_NE(g.status().message().find(path + ":2"), std::string::npos)
+        << c.why << ": " << g.status().message();
+  }
+}
+
+TEST_F(GraphIoTest, EdgeListAcceptsLargestWeight) {
+  const std::string path = Path("max_weight.txt");
+  std::ofstream(path) << "0 1 4294967295\n1 0 0\n";
+  auto g = LoadEdgeListText(path);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->weights(0)[0], 4294967295u);
+  EXPECT_EQ(g->weights(1)[0], 0u);
 }
 
 TEST_F(GraphIoTest, EdgeListUnweighted) {
