@@ -1,7 +1,7 @@
 // Parallel partition execution: worker-lane scaling sweep. Runs all six
 // algorithms at 1/2/4/8 solver lanes (SolverOptions::num_workers) over one
 // RMAT graph in the hybrid oversubscribed regime and reports wall-clock
-// per sweep, speedup over the sequential lane, and total simulated time.
+// per sweep, speedup over the one-lane run, and total simulated time.
 // Not a paper reproduction — the paper executes partitions on one GPU;
 // the lanes parallelize the host-side reenactment across partitions.
 //
@@ -9,8 +9,8 @@
 //   * cross-worker value identity: every algorithm's values at 2/4/8
 //     lanes equal the num_workers=1 run — bitwise for the u32
 //     value-selection family, accumulation tolerance for f64 PR/PHP;
-//   * the num_workers=1 lane IS the sequential path: its simulated time
-//     must equal the engine's default-options run bit for bit;
+//   * an explicit num_workers=1 run must reproduce the engine's
+//     default-options run (also one lane) in simulated time bit for bit;
 //   * on hardware with >= 8 threads, the 8-lane sweep must finish in
 //     <= half the 1-lane wall clock. On smaller hosts (CI runners, this
 //     container) the threshold is reported but not enforced — wall
@@ -132,8 +132,8 @@ int main() {
     queries.push_back(query);
   }
 
-  // The sequential reference pass, and the sim-identity check: running
-  // with explicit num_workers=1 must BE the default sequential path.
+  // The one-lane reference pass, and the sim-identity check: running
+  // with explicit num_workers=1 must reproduce the default-options run.
   std::map<AlgorithmId, QueryResult> reference;
   bool ok = true;
   for (const Query& query : queries) {
@@ -220,7 +220,7 @@ int main() {
                 "thread(s))\n", speedup8, hw_threads);
   }
   std::printf("cross-worker values identical and num_workers=1 sim time "
-              "matches the sequential path: %s\n", ok ? "yes" : "NO");
+              "matches the default-options run: %s\n", ok ? "yes" : "NO");
 
   WriteJson(rows, hw_threads, speedup_enforced);
   std::printf("BENCH_parallel.json written\n");

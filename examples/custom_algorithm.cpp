@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
     // wrap this same pattern behind the Engine/Query facade (core/engine.h)
     // via the registry in algorithms/registry.h — add an entry there to
     // make a new program queryable/batchable through the Engine.
-    Solver<InfluenceSpreadProgram> solver(graph, options);
+    Solver<InfluenceSpreadProgram> solver(GraphView::Wrap(graph), options);
     if (Status s = solver.Init(); !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;

@@ -83,11 +83,12 @@ void PrintUsage() {
       "                               sources as one batch\n"
       "  --streams N                  CUDA streams (default 4)\n"
       "  --threads N                  solver worker lanes: partitions are\n"
-      "                               split over N host threads with lane-\n"
-      "                               local frontiers merged at the\n"
-      "                               iteration barrier. 1 (default) is the\n"
-      "                               sequential reference path; 0 = auto\n"
-      "                               (hardware concurrency)\n"
+      "                               split over N host threads whose\n"
+      "                               cross-lane activations merge at the\n"
+      "                               iteration barrier. 1 (default) is one\n"
+      "                               inline lane with pool-parallel\n"
+      "                               kernels; 0 = auto (hardware\n"
+      "                               concurrency)\n"
       "  --direction D                push|pull|auto (default push):\n"
       "                               traversal direction. 'auto' picks per\n"
       "                               iteration (Beamer-style) between push\n"

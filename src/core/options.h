@@ -68,11 +68,11 @@ struct SolverOptions {
 
   /// --- Parallel partition execution (beyond the paper) ---
   /// Worker lanes executing disjoint partition ranges truly in parallel,
-  /// exchanging cross-partition activations through per-lane inboxes at
-  /// the iteration barrier. 1 = the exact sequential reference path
-  /// (byte-identical traces); 0 = auto (hardware concurrency). Simulated
-  /// time under lanes is max-over-lanes of the same per-partition costs,
-  /// so paper-figure numbers stay comparable.
+  /// exchanging cross-partition activations through per-lane outboxes at
+  /// the iteration barrier. 1 = one lane owning every partition, run
+  /// inline on the caller with pool-parallel kernels; 0 = auto (hardware
+  /// concurrency). Simulated time under lanes is max-over-lanes of the
+  /// same per-partition costs, so paper-figure numbers stay comparable.
   int num_workers = 1;
 
   /// Fig. 8 ablation switches.

@@ -32,6 +32,12 @@
 //      models accumulate simulated time on a multi-stream timeline
 //   6. Swap frontiers; repeat to convergence.
 //
+// Push steps 3-5 and the pull gather run on a team of lanes
+// (SolverOptions::num_workers), each owning a contiguous partition range
+// for the query's lifetime. The usual case is one lane: it owns every
+// partition, runs inline on the caller, and its kernels shard over the
+// thread pool.
+//
 // Program concept:
 //   struct Program {
 //     using Value = ...;
@@ -68,7 +74,6 @@
 #include "engine/frontier.h"
 #include "engine/kernels.h"
 #include "engine/partition_state.h"
-#include "graph/csr_graph.h"
 #include "graph/graph_view.h"
 #include "graph/partitioner.h"
 #include "sim/compute_model.h"
@@ -93,11 +98,6 @@ class Solver {
   /// the solver's lifetime.
   Solver(GraphView view, SolverOptions options)
       : view_(std::move(view)), options_(std::move(options)) {}
-
-  /// Static-graph convenience: a transparent view over `graph`, which must
-  /// outlive the solver.
-  Solver(const CsrGraph& graph, SolverOptions options)
-      : Solver(GraphView::Wrap(graph), std::move(options)) {}
 
   /// Validates options, accounts device memory, partitions the graph, and
   /// sets up the transfer engines. Must be called (successfully) before Run.
@@ -196,18 +196,13 @@ class Solver {
     stats_.Reset();
     if (um_engine_ != nullptr) um_engine_->Invalidate();
 
-    // Parallel partition execution: resolve the lane count once per run and
-    // fix each lane's partition ownership for the query's lifetime.
-    // num_lanes == 1 takes the exact sequential reference path below — no
-    // team, no lane state, byte-identical traces to the pre-lane solver.
+    // Resolve the lane count once per run and fix each lane's partition
+    // ownership for the query's lifetime.
     const int num_lanes = ResolveLaneCount();
-    std::vector<std::unique_ptr<LaneState>> lane_states;
+    std::vector<std::unique_ptr<LaneState>> lanes;
     std::vector<VertexId> lane_starts;
-    std::unique_ptr<LaneTeam> team;
-    if (num_lanes > 1) {
-      AssignLanes(num_lanes, &lane_states, &lane_starts);
-      team = std::make_unique<LaneTeam>(num_lanes);
-    }
+    AssignLanes(num_lanes, &lanes, &lane_starts);
+    LaneTeam team(num_lanes);
 
     Frontier frontier_a(view_);
     Frontier frontier_b(view_);
@@ -289,12 +284,8 @@ class Solver {
             // (kUnavailable) instead of gathering over missing in-edges.
             HYT_RETURN_NOT_OK(view_.EnsureReverse());
             trace.iterations.push_back(
-                num_lanes > 1
-                    ? RunParallelPullIteration(team.get(), &lane_states,
-                                               *current, next, frontier_edges,
-                                               active, &trace, program)
-                    : RunPullIteration(*current, next, frontier_edges, active,
-                                       &trace, program));
+                RunPullIteration(&team, lanes, *current, next, frontier_edges,
+                                 active, &trace, program));
             last_pull_edges = trace.iterations.back().transfers.kernel_edges;
             std::swap(current, next);
             next->Clear();
@@ -303,44 +294,8 @@ class Solver {
         }
       }
 
-      if (num_lanes > 1) {
-        trace.iterations.push_back(RunParallelPushIteration(
-            team.get(), &lane_states, lane_starts, *current, next, &trace,
-            program));
-      } else {
-        IterationState state =
-            BuildState(*current, program, std::move(actives_scratch_));
-        std::vector<Task> tasks = GenerateTasks(state);
-        SplitOversizedCompactionTasks(&tasks, state);
-
-        PrioritySchedulerOptions pso;
-        pso.enabled = options_.enable_contribution_scheduling;
-        pso.delta_driven = Program::kHasDelta;
-        ScheduleTasks(&tasks, state, pso);
-        OverlapStreamIn(&tasks, state);
-
-        StreamTimeline timeline(options_.num_streams);
-        IterationTrace it;
-        it.active_vertices = state.total_active_vertices();
-        it.active_edges = state.total_active_edges;
-        it.num_tasks = static_cast<uint32_t>(tasks.size());
-        const TransferStatsSnapshot before = stats_.Snapshot();
-
-        for (const Task& task : tasks) {
-          ExecuteTask(task, state, next, &timeline, &it, program);
-        }
-
-        it.transfers = stats_.Snapshot() - before;
-        it.sim_seconds = timeline.Makespan();
-        it.transfer_seconds = timeline.PcieBusy();
-        it.kernel_seconds = timeline.GpuBusy();
-        it.compaction_seconds = timeline.CpuBusy();
-        trace.total_sim_seconds += it.sim_seconds;
-        trace.iterations.push_back(it);
-
-        // Recycle the active-list allocation into the next iteration.
-        actives_scratch_ = std::move(state.actives);
-      }
+      trace.iterations.push_back(RunPushIteration(
+          &team, lanes, lane_starts, *current, next, &trace, program));
 
       // Iteration barrier: next iteration's active set is now final — post
       // its blocks to the prefetcher so the IO overlaps the (cheap) stats
@@ -446,41 +401,6 @@ class Solver {
     store.PostPrefetch(blocks);
   }
 
-  /// One pull-direction iteration: a dense gather over the reverse view
-  /// (RunPullKernel), bypassing the partition/task pipeline entirely. The
-  /// reverse adjacency is treated as GPU-resident alongside the forward
-  /// CSR, so the iteration is kernel-only in simulated time (no transfer
-  /// engines run); `frontier_edges` is the push-equivalent m_f for the
-  /// trace — nonzero only when the direction decision computed it (every
-  /// auto-mode iteration; forced kPull passes 0).
-  IterationTrace RunPullIteration(const Frontier& current, Frontier* next,
-                                  uint64_t frontier_edges,
-                                  uint64_t active_vertices, RunTrace* trace,
-                                  Program* program) {
-    IterationTrace it;
-    it.direction = TraversalDirection::kPull;
-    it.active_vertices = active_vertices;
-    it.active_edges = frontier_edges;
-    it.num_tasks = 1;
-    const TransferStatsSnapshot before = stats_.Snapshot();
-
-    const uint64_t edges = RunPullKernel(view_, current, *program, next);
-    stats_.AddKernelEdges(edges);
-
-    StreamTimeline timeline(options_.num_streams);
-    StreamTask st;
-    st.label = "pull";
-    st.kernel_seconds =
-        gpu_model_->SecondsForEdges(edges) + options_.task_overhead_seconds;
-    timeline.Submit(st);
-
-    it.transfers = stats_.Snapshot() - before;
-    it.sim_seconds = timeline.Makespan();
-    it.kernel_seconds = timeline.GpuBusy();
-    trace->total_sim_seconds += it.sim_seconds;
-    return it;
-  }
-
   /// Resolves SolverOptions::num_workers to the lane count this run
   /// executes with. 0 = hardware concurrency; always 1 when the solver is
   /// already running on a pool worker (batched / fused serving queries:
@@ -516,7 +436,7 @@ class Solver {
     uint64_t cum = 0;
     uint32_t p = 0;
     for (int l = 0; l < num_lanes; ++l) {
-      auto lane = std::make_unique<LaneState>(view_, num_lanes);
+      auto lane = std::make_unique<LaneState>(view_.num_vertices(), num_lanes);
       lane->p_begin = p;
       const uint64_t target =
           total_edges * static_cast<uint64_t>(l + 1) / num_lanes;
@@ -535,16 +455,14 @@ class Solver {
     }
   }
 
-  /// One push iteration under parallel lanes. The coordinator builds the
-  /// iteration state and evaluates the per-partition cost formulas once
-  /// (identical inputs to the sequential path); each lane then generates,
-  /// schedules, and executes its owned range's tasks against its
-  /// lane-local sink, and the barrier merge publishes the next frontier
-  /// owner-only. Simulated time is max-over-lanes of the per-lane stream
-  /// makespans — the same per-partition costs, modeled as concurrent
-  /// devices.
-  IterationTrace RunParallelPushIteration(
-      LaneTeam* team, std::vector<std::unique_ptr<LaneState>>* lanes,
+  /// One push iteration. The coordinator builds the iteration state and
+  /// evaluates the per-partition cost formulas once; each lane then
+  /// generates, schedules, and executes its owned range's tasks through its
+  /// LaneSink, and the barrier merge drains the outboxes. Simulated time is
+  /// max-over-lanes of the per-lane stream makespans — the same
+  /// per-partition costs, modeled as concurrent devices.
+  IterationTrace RunPushIteration(
+      LaneTeam* team, const std::vector<std::unique_ptr<LaneState>>& lanes,
       const std::vector<VertexId>& lane_starts, const Frontier& current,
       Frontier* next, RunTrace* trace, Program* program) {
     IterationState state =
@@ -561,10 +479,10 @@ class Solver {
 
     // Execute phase: per-lane task lists over owned partitions only.
     // Task combining and priority scheduling are confined to the lane's
-    // range (filter runs reset at lane boundaries) — the per-partition
-    // engine choices themselves are identical to the sequential path.
+    // range (filter runs reset at lane boundaries); the per-partition
+    // engine choices themselves do not depend on the lane count.
     team->Run([&](int l) {
-      LaneState& lane = *(*lanes)[l];
+      LaneState& lane = *lanes[l];
       lane.BeginIteration();
       const auto t0 = std::chrono::steady_clock::now();
       std::vector<Task> tasks =
@@ -577,7 +495,7 @@ class Solver {
       OverlapStreamIn(&tasks, state);
       StreamTimeline timeline(options_.num_streams);
       lane.partial.num_tasks = static_cast<uint32_t>(tasks.size());
-      LaneSink sink(&lane, lane_starts);
+      LaneSink sink(&lane, next, lane_starts);
       for (const Task& task : tasks) {
         ExecuteTask(task, state, &sink, &timeline, &lane.partial, program);
       }
@@ -590,33 +508,24 @@ class Solver {
                               .count();
     });
 
-    // Merge phase (the iteration barrier): every lane publishes exactly
-    // the vertices it owns into the global next frontier — its own range
-    // from its local bitmap plus every peer's outbox addressed to it.
-    // Owner-only publication keeps the shared bitmap's words near-disjoint
-    // (only range-boundary words are shared), and the degree-carrying
-    // Activate keeps the scout count exact for the next direction
-    // decision. Activation is idempotent set semantics, so the merged
-    // bitmap and scout sum are independent of lane interleaving.
+    // Merge phase (the iteration barrier): each lane publishes the foreign
+    // activations its peers queued for it. Owned activations already went
+    // straight into `next`, so every vertex is published by its owner only
+    // (the shared bitmap's words are near-disjoint: only range-boundary
+    // words are shared), and the degree-carrying Activate keeps the scout
+    // count exact for the next direction decision. Activation is
+    // idempotent set semantics, so the merged bitmap and scout sum are
+    // independent of lane interleaving.
     team->Run([&](int l) {
-      LaneState& lane = *(*lanes)[l];
-      for (size_t m = 0; m < lanes->size(); ++m) {
-        if (static_cast<int>(m) == l) continue;
-        for (const VertexId v : (*lanes)[m]->outbox[l]) {
+      for (const auto& peer : lanes) {
+        for (const VertexId v : peer->outbox[l]) {
           next->Activate(v, view_.out_degree(v));
         }
-      }
-      lane.merge_scratch.clear();
-      lane.local.CollectRange(lane.v_begin, lane.v_end, &lane.merge_scratch);
-      for (const VertexId v : lane.merge_scratch) {
-        next->Activate(v, view_.out_degree(v));
       }
     });
 
     double sim = 0;
-    double busy = 0;
-    double critical = 0;
-    for (const auto& lp : *lanes) {
+    for (const auto& lp : lanes) {
       const LaneState& lane = *lp;
       it.num_tasks += lane.partial.num_tasks;
       it.partitions_filter += lane.partial.partitions_filter;
@@ -631,42 +540,44 @@ class Solver {
       it.transfer_seconds += lane.transfer_busy;
       it.kernel_seconds += lane.kernel_busy;
       it.compaction_seconds += lane.cpu_busy;
-      busy += lane.wall_seconds;
-      critical = std::max(critical, lane.wall_seconds);
     }
     it.sim_seconds = sim;
     it.transfers = stats_.Snapshot() - before;
     trace->total_sim_seconds += it.sim_seconds;
-    trace->lane_busy_seconds += busy;
-    trace->lane_critical_seconds += critical;
+    AddLaneWallTime(lanes, trace);
 
     actives_scratch_ = std::move(state.actives);
     return it;
   }
 
-  /// One pull iteration under parallel lanes: the coordinator computes the
-  /// deterministic iteration floor, then each lane scans its owned
-  /// candidate slice. Candidates are own-range by construction, so lanes
-  /// write the global next frontier owner-only with the sequential pull
-  /// kernel's plain (scout-invalidating) activations — no outboxes needed.
-  IterationTrace RunParallelPullIteration(
-      LaneTeam* team, std::vector<std::unique_ptr<LaneState>>* lanes,
+  /// One pull iteration: a dense gather over the reverse view, bypassing
+  /// the partition/task pipeline. The coordinator computes the iteration
+  /// floor, then each lane scans its owned candidate range. Candidates are
+  /// own-range by construction, so lanes write the global next frontier
+  /// directly — no outboxes needed. The reverse adjacency is treated as
+  /// GPU-resident alongside the forward CSR, so the iteration is
+  /// kernel-only in simulated time: one gather stream per lane,
+  /// max-over-lanes. `frontier_edges` is the push-equivalent m_f for the
+  /// trace — nonzero only when the direction decision computed it (every
+  /// auto-mode iteration; forced kPull passes 0).
+  IterationTrace RunPullIteration(
+      LaneTeam* team, const std::vector<std::unique_ptr<LaneState>>& lanes,
       const Frontier& current, Frontier* next, uint64_t frontier_edges,
       uint64_t active_vertices, RunTrace* trace, Program* program) {
     IterationTrace it;
     it.direction = TraversalDirection::kPull;
     it.active_vertices = active_vertices;
     it.active_edges = frontier_edges;
-    it.num_tasks = static_cast<uint32_t>(lanes->size());
+    it.num_tasks = static_cast<uint32_t>(lanes.size());
     const TransferStatsSnapshot before = stats_.Snapshot();
 
     const auto floor = PullIterationFloor(current, *program);
     team->Run([&](int l) {
-      LaneState& lane = *(*lanes)[l];
+      LaneState& lane = *lanes[l];
       lane.BeginIteration();
       const auto t0 = std::chrono::steady_clock::now();
-      lane.pull_edges = RunPullKernelRange(view_, current, *program, next,
-                                           floor, lane.v_begin, lane.v_end);
+      lane.pull_edges = RunPullKernel(view_, current, *program, next, floor,
+                                      lane.v_begin, lane.v_end);
       lane.wall_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -674,64 +585,38 @@ class Solver {
 
     uint64_t edges = 0;
     double sim = 0;
-    double busy = 0;
-    double critical = 0;
-    for (const auto& lp : *lanes) {
+    for (const auto& lp : lanes) {
       edges += lp->pull_edges;
-      // One gather stream per lane in simulated time: max-over-lanes of
-      // the per-lane kernel model, busy time summed.
       const double lane_kernel = gpu_model_->SecondsForEdges(lp->pull_edges) +
                                  options_.task_overhead_seconds;
       sim = std::max(sim, lane_kernel);
       it.kernel_seconds += lane_kernel;
-      busy += lp->wall_seconds;
-      critical = std::max(critical, lp->wall_seconds);
     }
     stats_.AddKernelEdges(edges);
     it.sim_seconds = sim;
     it.transfers = stats_.Snapshot() - before;
     trace->total_sim_seconds += it.sim_seconds;
-    trace->lane_busy_seconds += busy;
-    trace->lane_critical_seconds += critical;
+    AddLaneWallTime(lanes, trace);
     return it;
   }
 
-  /// Task generation: HyTGraph runs the cost model per partition; every
-  /// baseline forces one engine across all active partitions.
-  std::vector<Task> GenerateTasks(const IterationState& state) const {
-    TaskCombinerOptions tco;
-    tco.combine_k = options_.combine_k;
-    tco.enabled = options_.enable_task_combining;
-
-    switch (options_.system) {
-      case SystemKind::kHyTGraph: {
-        const std::vector<PartitionCosts> costs =
-            cost_model_->EvaluateAll(partitions_, state);
-        return CombineTasks(partitions_, state, costs, tco);
-      }
-      case SystemKind::kExpFilter:
-        return ForcedTasks(state, EngineKind::kFilter,
-                           /*single_task=*/false);
-      case SystemKind::kSubway:
-        return ForcedTasks(state, EngineKind::kCompaction,
-                           /*single_task=*/true);
-      case SystemKind::kEmogi:
-        return ForcedTasks(state, EngineKind::kZeroCopy,
-                           /*single_task=*/true);
-      case SystemKind::kImpUm:
-      case SystemKind::kGrus:
-        return ForcedTasks(state, EngineKind::kUnifiedMemory,
-                           /*single_task=*/true);
-      case SystemKind::kCpu:
-        return ForcedTasks(state, EngineKind::kCpu, /*single_task=*/true);
+  /// Adds the lanes' measured execute-phase wall times to the run's totals:
+  /// summed (total work) and max-over-lanes (critical path).
+  static void AddLaneWallTime(
+      const std::vector<std::unique_ptr<LaneState>>& lanes, RunTrace* trace) {
+    double critical = 0;
+    for (const auto& lane : lanes) {
+      trace->lane_busy_seconds += lane->wall_seconds;
+      critical = std::max(critical, lane->wall_seconds);
     }
-    return {};
+    trace->lane_critical_seconds += critical;
   }
 
-  /// Lane-range task generation over partitions [p_begin, p_end). `costs`
-  /// is the coordinator's full EvaluateAll result (kHyTGraph only; empty
-  /// for forced baselines). Combining/merging is confined to the range —
-  /// "single task" baselines build one task per lane.
+  /// Task generation over a lane's partitions [p_begin, p_end). HyTGraph
+  /// combines the per-partition engine choices of `costs` (the
+  /// coordinator's EvaluateAll result; empty for the forced baselines);
+  /// every baseline forces one engine. Combining/merging is confined to the
+  /// range — "single task" baselines build one task per lane.
   std::vector<Task> GenerateLaneTasks(const IterationState& state,
                                       const std::vector<PartitionCosts>& costs,
                                       uint32_t p_begin,
@@ -754,8 +639,8 @@ class Solver {
                            /*single_task=*/true, p_begin, p_end);
       case SystemKind::kImpUm:
       case SystemKind::kGrus:
-        // Unreachable under lanes (ResolveLaneCount forces 1 for UM), but
-        // kept total for safety.
+        // Always one lane (ResolveLaneCount): one task over every active
+        // partition, in partition order, for the stateful page cache.
         return ForcedTasks(state, EngineKind::kUnifiedMemory,
                            /*single_task=*/true, p_begin, p_end);
       case SystemKind::kCpu:
@@ -765,18 +650,10 @@ class Solver {
     return {};
   }
 
-  /// All active partitions under one forced engine. `single_task` merges
-  /// everything into one task; otherwise consecutive partitions group by
-  /// combine_k (the streaming behaviour of filter-based frameworks).
-  std::vector<Task> ForcedTasks(const IterationState& state, EngineKind kind,
-                                bool single_task) const {
-    return ForcedTasks(state, kind, single_task, 0,
-                       static_cast<uint32_t>(partitions_.size()));
-  }
-
-  /// Range-limited ForcedTasks over partitions [p_begin, p_end): the lane
-  /// path builds one forced task list per owned range ("single" task means
-  /// single per lane there).
+  /// The active partitions in [p_begin, p_end) under one forced engine.
+  /// `single_task` merges them into one task; otherwise consecutive
+  /// partitions group by combine_k (the streaming behaviour of filter-based
+  /// frameworks).
   std::vector<Task> ForcedTasks(const IterationState& state, EngineKind kind,
                                 bool single_task, uint32_t p_begin,
                                 uint32_t p_end) const {
@@ -858,14 +735,12 @@ class Solver {
   /// Extra asynchronous rounds: consume re-activations that landed inside
   /// this task's loaded subgraph. `membership` restricts to vertices whose
   /// edges are actually on the GPU (compaction loads only the original
-  /// active set; filter loads whole partitions). `Sink` is the global
-  /// Frontier on the sequential path or the LaneSink under lanes — a
-  /// task's partitions are always lane-owned, so the collect/deactivate
-  /// cycle below stays entirely within the lane-local frontier there.
-  template <typename Sink>
+  /// active set; filter loads whole partitions). A task's partitions are
+  /// always lane-owned, so the collect/deactivate cycle below reads and
+  /// writes only the lane's own range of the next frontier.
   uint64_t RunExtraRounds(const Task& task,
                           const std::vector<VertexId>* membership,
-                          Sink* next, Program* program) {
+                          LaneSink* next, Program* program) {
     const int max_rounds = options_.extra_rounds < 0
                                ? options_.max_local_rounds
                                : options_.extra_rounds;
@@ -890,9 +765,8 @@ class Solver {
     return edges;
   }
 
-  template <typename Sink>
   void ExecuteTask(const Task& task, const IterationState& state,
-                   Sink* next, StreamTimeline* timeline,
+                   LaneSink* next, StreamTimeline* timeline,
                    IterationTrace* it, Program* program) {
     const std::vector<VertexId> actives = GatherActives(task, state);
     const auto count = static_cast<uint32_t>(task.partitions.size());

@@ -20,14 +20,6 @@ void AccumulateInto(Task* task, uint32_t partition_id,
 std::vector<Task> CombineTasks(const std::vector<Partition>& partitions,
                                const IterationState& state,
                                const std::vector<PartitionCosts>& costs,
-                               const TaskCombinerOptions& options) {
-  return CombineTasks(partitions, state, costs, options, 0,
-                      static_cast<uint32_t>(partitions.size()));
-}
-
-std::vector<Task> CombineTasks(const std::vector<Partition>& partitions,
-                               const IterationState& state,
-                               const std::vector<PartitionCosts>& costs,
                                const TaskCombinerOptions& options,
                                uint32_t p_begin, uint32_t p_end) {
   std::vector<Task> tasks;

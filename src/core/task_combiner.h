@@ -29,19 +29,11 @@ struct TaskCombinerOptions {
   bool enabled = true;
 };
 
-/// Builds the iteration's task list from per-partition engine choices.
-/// Inactive partitions are skipped entirely.
-std::vector<Task> CombineTasks(const std::vector<Partition>& partitions,
-                               const IterationState& state,
-                               const std::vector<PartitionCosts>& costs,
-                               const TaskCombinerOptions& options);
-
-/// Range-limited variant over partitions [p_begin, p_end): the parallel
-/// execution path builds one task list per lane from its owned partition
-/// range. Combining is confined to the range (filter runs reset at lane
-/// boundaries; the compaction/zero-copy merge tasks are per-lane, not
-/// global) — at one lane covering all partitions this is byte-identical to
-/// the full CombineTasks.
+/// Builds the task list of partitions [p_begin, p_end) — one solver lane's
+/// owned range — from per-partition engine choices. Inactive partitions are
+/// skipped entirely. Combining is confined to the range: filter runs reset
+/// at lane boundaries, and the compaction/zero-copy merge tasks are
+/// per-lane.
 std::vector<Task> CombineTasks(const std::vector<Partition>& partitions,
                                const IterationState& state,
                                const std::vector<PartitionCosts>& costs,

@@ -82,7 +82,7 @@ struct RunTrace {
   IncrementalFallback incremental_fallback = IncrementalFallback::kNone;
 
   /// --- Parallel partition execution (SolverOptions::num_workers) ---
-  /// Lanes the run executed with (1 = sequential reference path).
+  /// Lanes the run executed with (1 = one lane owning every partition).
   int num_lanes = 1;
   /// Sum over iterations of per-lane measured execute-phase wall time,
   /// summed across lanes (total work) and max across lanes (critical

@@ -145,7 +145,11 @@ class Frontier {
 
  private:
   AtomicBitmap bitmap_;
-  std::atomic<uint64_t> active_count_{0};
+  // The counters get their own cache line: every kernel thread reads the
+  // bitmap's header on each activation and writes the counters on each
+  // new one. Where a Frontier's stack placement put both on one line,
+  // pool-parallel PageRank cost 35-50% more CPU time.
+  alignas(64) std::atomic<uint64_t> active_count_{0};
   std::atomic<uint64_t> scout_count_{0};
   std::atomic<bool> scout_valid_{true};
 };

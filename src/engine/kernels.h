@@ -65,9 +65,10 @@ concept PullCapableProgram =
 /// The degree lookup runs once per *newly activated* vertex (the bitmap
 /// filters re-activations), not per edge.
 ///
-/// `Sink` is anything with Frontier's Activate(v) / Activate(v, degree)
-/// surface: the global Frontier on the sequential path, a lane-local sink
-/// (core/lane_state.h) under parallel partition execution.
+/// `Sink` is anything with Frontier's Activate(v, degree) surface: a
+/// Frontier, or the solver's LaneSink (core/lane_state.h), which writes the
+/// lane's own vertices into the next frontier and queues the others for
+/// their owning lane.
 template <typename Program, typename Sink = Frontier>
 uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
                    Program& program, Sink* next) {
@@ -128,37 +129,15 @@ uint64_t RunKernel(const CsrGraph& graph, std::span<const VertexId> actives,
   return RunKernel(GraphView::Wrap(graph), actives, program, next);
 }
 
-/// Pull-mode relaxation: for every candidate vertex v (dense scan over the
-/// whole vertex space — no active-list materialization), gather from the
-/// in-neighbours that are in `current`, applying the same ProcessEdge
-/// relaxations push would. The edge set relaxed is identical to push's
-/// (all (u, v) with u active), so the converged fixpoint values are
-/// identical; per-iteration frontiers can drift slightly — pull reads
-/// BeginVertex(u) per in-edge where push snapshots it once per active
-/// vertex, so mid-iteration improvements may propagate one iteration
-/// earlier or later than under push (monotonicity makes either schedule
-/// converge to the same values). The wins are structural:
-///
-///  * next-frontier maintenance is one local Activate per *changed
-///    candidate* instead of one atomic per improving edge (the dense-
-///    iteration contention the bitmap-directed frontier tries to contain);
-///  * a candidate already at the iteration floor — the best potential any
-///    frontier vertex holds, a conservative bound on every offer — skips
-///    its scan entirely, and a candidate that reaches the floor mid-scan
-///    early-exits (classic direction-optimizing payoff: one parent found,
-///    stop).
-///
-/// Requires the view's reverse side; builds it on first use (O(E) once per
-/// layout version — the Engine seeds the transpose across epochs).
-/// Returns in-edges scanned (including frontier-membership misses), the
-/// honest work unit pull is judged by.
+/// The pull iteration floor: the best potential any frontier vertex holds,
+/// a conservative bound on every offer a pull gather can receive this
+/// iteration. Reduced over the frontier bitmap in per-shard partials,
+/// combined in shard order — deterministic.
 template <typename Program>
   requires PullCapableProgram<Program>
 typename Program::PullBound PullIterationFloor(const Frontier& current,
                                                Program& program) {
   using Bound = typename Program::PullBound;
-  // Iteration floor: reduce the per-vertex potentials over the frontier
-  // bitmap (per-shard partials, combined in shard order — deterministic).
   const auto words = current.Words();
   std::vector<Bound> shard_bounds(
       static_cast<size_t>(ThreadPool::Default()->num_threads()) + 1,
@@ -185,65 +164,70 @@ typename Program::PullBound PullIterationFloor(const Frontier& current,
   return floor;
 }
 
-/// Serial pull gather over the candidate range [v_begin, v_end) against a
-/// precomputed iteration floor. The parallel-lane pull path hands each lane
-/// a disjoint candidate slice of this scan; RunPullKernel composes it with
-/// pool sharding for the sequential path. Activations into `next` are plain
-/// Activate(v) (scout-invalidating — pull iterations rebuild m_f by scan).
-template <typename Program>
-  requires PullCapableProgram<Program>
-uint64_t RunPullKernelRange(const GraphView& view, const Frontier& current,
-                            Program& program, Frontier* next,
-                            typename Program::PullBound floor,
-                            VertexId v_begin, VertexId v_end) {
-  uint64_t local_edges = 0;
-  // One lease for the whole slice: the dense ascending scan re-pins the
-  // transpose block only on boundary crossings when it streams.
-  BlockRef lease;
-  for (VertexId v = v_begin; v < v_end; ++v) {
-    if (program.SettledAt(v, floor)) continue;
-    bool changed = false;
-    view.ForEachInNeighborWhileLeased(v, &lease, [&](VertexId u, Weight w) {
-      ++local_edges;
-      if (!current.IsActive(u)) return true;
-      typename Program::VertexContext ctx;
-      if (!program.BeginVertex(u, &ctx)) return true;
-      if (program.ProcessEdge(ctx, u, v, w)) {
-        changed = true;
-        // Settled at the floor: no remaining in-neighbour can offer
-        // better — stop the scan.
-        if (program.SettledAt(v, floor)) return false;
-      }
-      return true;
-    });
-    if (changed) next->Activate(v);
-  }
-  return local_edges;
-}
-
+/// Pull-mode relaxation over the candidate range [v_begin, v_end): for
+/// every candidate vertex v (dense scan — no active-list materialization),
+/// gather from the in-neighbours that are in `current`, applying the same
+/// ProcessEdge relaxations push would. The edge set relaxed is identical to
+/// push's (all (u, v) with u active), so the converged fixpoint values are
+/// identical; per-iteration frontiers can drift slightly — pull reads
+/// BeginVertex(u) per in-edge where push snapshots it once per active
+/// vertex, so mid-iteration improvements may propagate one iteration
+/// earlier or later than under push (monotonicity makes either schedule
+/// converge to the same values). The wins are structural:
+///
+///  * next-frontier maintenance is one local Activate per *changed
+///    candidate* instead of one atomic per improving edge (the dense-
+///    iteration contention the bitmap-directed frontier tries to contain);
+///  * a candidate already at `floor` (PullIterationFloor) skips its scan
+///    entirely, and a candidate that reaches the floor mid-scan early-exits
+///    (classic direction-optimizing payoff: one parent found, stop).
+///
+/// The range is sharded over the thread pool (serially on a pool worker or
+/// solver lane thread). Activations into `next` are plain Activate(v)
+/// (scout-invalidating — the next direction decision rebuilds m_f by
+/// scan). Returns in-edges scanned (including frontier-membership misses),
+/// the honest work unit pull is judged by.
 template <typename Program>
   requires PullCapableProgram<Program>
 uint64_t RunPullKernel(const GraphView& view, const Frontier& current,
-                       Program& program, Frontier* next) {
-  const VertexId n = view.num_vertices();
-  if (n == 0) return 0;
+                       Program& program, Frontier* next,
+                       typename Program::PullBound floor, VertexId v_begin,
+                       VertexId v_end) {
   // The solver builds the reverse side (and handles a failed build) before
   // its first pull iteration; here it is a no-op load, or a build for
   // direct callers on resident graphs, which cannot fail.
   const Status reverse = view.EnsureReverse();
   HYT_CHECK(reverse.ok()) << reverse.ToString();
-
-  const auto floor = PullIterationFloor(current, program);
-
+  if (v_begin >= v_end) return 0;
   std::atomic<uint64_t> edges_processed{0};
   ThreadPool::Default()->ParallelFor(
-      n,
+      v_end - v_begin,
       [&](int /*shard*/, uint64_t begin, uint64_t end) {
-        edges_processed.fetch_add(
-            RunPullKernelRange(view, current, program, next, floor,
-                               static_cast<VertexId>(begin),
-                               static_cast<VertexId>(end)),
-            std::memory_order_relaxed);
+        uint64_t local_edges = 0;
+        // One lease per shard: the dense ascending scan re-pins the
+        // transpose block only on boundary crossings when it streams.
+        BlockRef lease;
+        for (VertexId v = v_begin + static_cast<VertexId>(begin);
+             v < v_begin + static_cast<VertexId>(end); ++v) {
+          if (program.SettledAt(v, floor)) continue;
+          bool changed = false;
+          view.ForEachInNeighborWhileLeased(
+              v, &lease, [&](VertexId u, Weight w) {
+                ++local_edges;
+                if (!current.IsActive(u)) return true;
+                typename Program::VertexContext ctx;
+                if (!program.BeginVertex(u, &ctx)) return true;
+                if (program.ProcessEdge(ctx, u, v, w)) {
+                  changed = true;
+                  // Settled at the floor: no remaining in-neighbour can
+                  // offer better — stop the scan.
+                  if (program.SettledAt(v, floor)) return false;
+                }
+                return true;
+              });
+          if (changed) next->Activate(v);
+        }
+        edges_processed.fetch_add(local_edges, std::memory_order_relaxed);
       },
       /*min_grain=*/256);
   return edges_processed.load();

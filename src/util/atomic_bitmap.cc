@@ -15,16 +15,6 @@ void AtomicBitmap::Reset(uint64_t size) {
   for (auto& w : words_) w.store(0, std::memory_order_relaxed);
 }
 
-bool AtomicBitmap::TestAndSet(uint64_t i) {
-  HYT_CHECK_LT(i, size_);
-  const uint64_t mask = 1ULL << (i % kBitsPerWord);
-  std::atomic<uint64_t>& word = words_[i / kBitsPerWord];
-  // Cheap read first: most repeated activations hit an already-set bit and
-  // skip the RMW entirely.
-  if (word.load(std::memory_order_relaxed) & mask) return false;
-  return (word.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
-}
-
 void AtomicBitmap::Clear(uint64_t i) {
   HYT_CHECK_LT(i, size_);
   const uint64_t mask = 1ULL << (i % kBitsPerWord);

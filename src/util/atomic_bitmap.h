@@ -10,6 +10,8 @@
 #include <span>
 #include <vector>
 
+#include "util/logging.h"
+
 namespace hytgraph {
 
 class AtomicBitmap {
@@ -25,8 +27,17 @@ class AtomicBitmap {
 
   /// Atomically sets bit i. Returns true if this call changed it 0 -> 1.
   /// Reduces atomic contention by testing before the RMW (the paper's
-  /// bitmap-directed frontier trick).
-  bool TestAndSet(uint64_t i);
+  /// bitmap-directed frontier trick). Inline: the push kernels call it once
+  /// per improving edge.
+  bool TestAndSet(uint64_t i) {
+    HYT_CHECK_LT(i, size_);
+    const uint64_t mask = 1ULL << (i % kBitsPerWord);
+    std::atomic<uint64_t>& word = words_[i / kBitsPerWord];
+    // Cheap read first: most repeated activations hit an already-set bit
+    // and skip the RMW entirely.
+    if (word.load(std::memory_order_relaxed) & mask) return false;
+    return (word.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
+  }
 
   /// Atomically clears bit i.
   void Clear(uint64_t i);

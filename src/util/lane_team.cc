@@ -50,7 +50,8 @@ void LaneTeam::LaneLoop(int lane) {
 void LaneTeam::Run(const std::function<void(int lane)>& fn) {
   if (num_lanes_ == 1) {
     // Inline on the caller: a 1-lane team adds no threads and no signaling,
-    // keeping the sequential reference path free of team machinery.
+    // and the caller keeps its pool-worker status (kernels shard over the
+    // pool unless the caller is itself a worker).
     fn(0);
     return;
   }

@@ -30,7 +30,8 @@ namespace hytgraph {
 class LaneTeam {
  public:
   /// Spawns `num_lanes` lane threads (none for a 1-lane team, which runs
-  /// inline on the caller in Run). num_lanes must be >= 1.
+  /// inline on the caller in Run, so its kernels may still shard over the
+  /// thread pool). num_lanes must be >= 1.
   explicit LaneTeam(int num_lanes);
   ~LaneTeam();
 

@@ -27,7 +27,7 @@ class SolverAllSystemsTest : public ::testing::TestWithParam<SystemKind> {};
 
 TEST_P(SolverAllSystemsTest, SsspMatchesFigure1) {
   const CsrGraph graph = PaperFigure1Graph();
-  Solver<SsspProgram> solver(graph, SmallOptions(GetParam()));
+  Solver<SsspProgram> solver(GraphView::Wrap(graph), SmallOptions(GetParam()));
   ASSERT_TRUE(solver.Init().ok());
   SsspProgram program(graph, /*source=*/0);
   auto trace = solver.Run(&program);
@@ -40,7 +40,7 @@ TEST_P(SolverAllSystemsTest, SsspMatchesFigure1) {
 
 TEST_P(SolverAllSystemsTest, BfsMatchesReferenceOnRmat) {
   const CsrGraph graph = SmallRmat(10, 8);
-  Solver<BfsProgram> solver(graph, SmallOptions(GetParam()));
+  Solver<BfsProgram> solver(GraphView::Wrap(graph), SmallOptions(GetParam()));
   ASSERT_TRUE(solver.Init().ok());
   BfsProgram program(graph, /*source=*/1);
   auto trace = solver.Run(&program);
@@ -56,7 +56,7 @@ TEST_P(SolverAllSystemsTest, TraceAccountsTransfersAndKernels) {
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     if (graph.out_degree(v) > graph.out_degree(source)) source = v;
   }
-  Solver<BfsProgram> solver(graph, SmallOptions(GetParam()));
+  Solver<BfsProgram> solver(GraphView::Wrap(graph), SmallOptions(GetParam()));
   ASSERT_TRUE(solver.Init().ok());
   BfsProgram program(graph, source);
   auto trace = solver.Run(&program);
@@ -95,7 +95,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SolverTest, RunBeforeInitFails) {
   const CsrGraph graph = PaperFigure1Graph();
-  Solver<BfsProgram> solver(graph, SmallOptions(SystemKind::kHyTGraph));
+  Solver<BfsProgram> solver(GraphView::Wrap(graph),
+                            SmallOptions(SystemKind::kHyTGraph));
   BfsProgram program(graph, 0);
   auto result = solver.Run(&program);
   EXPECT_TRUE(result.status().IsFailedPrecondition());
@@ -105,7 +106,7 @@ TEST(SolverTest, VertexDataExceedingDeviceMemoryIsOom) {
   const CsrGraph graph = SmallRmat(12, 8);
   SolverOptions opts = SolverOptions::Defaults(SystemKind::kHyTGraph);
   opts.device_memory_override = 1024;  // absurdly small GPU
-  Solver<SsspProgram> solver(graph, opts);
+  Solver<SsspProgram> solver(GraphView::Wrap(graph), opts);
   const Status status = solver.Init();
   EXPECT_TRUE(status.IsOutOfMemory()) << status.ToString();
 }
@@ -114,7 +115,7 @@ TEST(SolverTest, InvalidOptionsRejected) {
   const CsrGraph graph = PaperFigure1Graph();
   SolverOptions opts = SolverOptions::Defaults(SystemKind::kHyTGraph);
   opts.alpha = 1.5;
-  Solver<BfsProgram> solver(graph, opts);
+  Solver<BfsProgram> solver(GraphView::Wrap(graph), opts);
   EXPECT_TRUE(solver.Init().IsInvalidArgument());
 }
 
@@ -123,7 +124,8 @@ TEST(SolverTest, EmptyFrontierConvergesImmediately) {
   auto graph_result = BuildFromTriples(3, {{1, 2, 1}});
   ASSERT_TRUE(graph_result.ok());
   const CsrGraph graph = std::move(graph_result).value();
-  Solver<BfsProgram> solver(graph, SmallOptions(SystemKind::kHyTGraph));
+  Solver<BfsProgram> solver(GraphView::Wrap(graph),
+                            SmallOptions(SystemKind::kHyTGraph));
   ASSERT_TRUE(solver.Init().ok());
   BfsProgram program(graph, 0);
   auto trace = solver.Run(&program);
@@ -143,7 +145,7 @@ TEST(SolverTest, HyTGraphUsesMultipleEnginesOverPageRankRun) {
   // Half-TLP partitions: big enough that the per-partition overhead term
   // does not drown the transfer costs, small enough for several partitions.
   opts.partition_bytes = 16384;
-  Solver<PageRankProgram> solver(graph, opts);
+  Solver<PageRankProgram> solver(GraphView::Wrap(graph), opts);
   ASSERT_TRUE(solver.Init().ok());
   PageRankProgram program(graph);
   auto trace = solver.Run(&program);
@@ -171,13 +173,13 @@ TEST(SolverTest, SubwayLocalRoundsReduceIterationsVsEmogiOnChain) {
   SolverOptions subway = SmallOptions(SystemKind::kSubway);
   SolverOptions emogi = SmallOptions(SystemKind::kEmogi);
 
-  Solver<CcProgram> s1(graph, subway);
+  Solver<CcProgram> s1(GraphView::Wrap(graph), subway);
   ASSERT_TRUE(s1.Init().ok());
   CcProgram p1(graph);
   auto t1 = s1.Run(&p1);
   ASSERT_TRUE(t1.ok());
 
-  Solver<CcProgram> s2(graph, emogi);
+  Solver<CcProgram> s2(GraphView::Wrap(graph), emogi);
   ASSERT_TRUE(s2.Init().ok());
   CcProgram p2(graph);
   auto t2 = s2.Run(&p2);

@@ -36,6 +36,12 @@ struct CombinerFixture {
     state.slice_offsets[n] = state.actives.size();
   }
 
+  /// The task list over every partition (a single lane's range).
+  std::vector<Task> Combine(const TaskCombinerOptions& tco) const {
+    return CombineTasks(partitions, state, costs, tco, 0,
+                        static_cast<uint32_t>(partitions.size()));
+  }
+
   std::vector<Partition> partitions;
   IterationState state;
   std::vector<PartitionCosts> costs;
@@ -49,8 +55,7 @@ TaskCombinerOptions DefaultTco() {
 
 TEST(TaskCombinerTest, ConsecutiveFilterPartitionsMergeUpToK) {
   CombinerFixture fx(std::vector<EngineKind>(10, EngineKind::kFilter));
-  const auto tasks = CombineTasks(fx.partitions, fx.state, fx.costs,
-                                  DefaultTco());
+  const auto tasks = fx.Combine(DefaultTco());
   // 10 filter partitions, k=4 -> tasks of size 4, 4, 2.
   ASSERT_EQ(tasks.size(), 3u);
   EXPECT_EQ(tasks[0].partitions.size(), 4u);
@@ -61,8 +66,7 @@ TEST(TaskCombinerTest, ConsecutiveFilterPartitionsMergeUpToK) {
 
 TEST(TaskCombinerTest, AllCompactionPartitionsFormOneTask) {
   CombinerFixture fx(std::vector<EngineKind>(6, EngineKind::kCompaction));
-  const auto tasks = CombineTasks(fx.partitions, fx.state, fx.costs,
-                                  DefaultTco());
+  const auto tasks = fx.Combine(DefaultTco());
   ASSERT_EQ(tasks.size(), 1u);
   EXPECT_EQ(tasks[0].engine, EngineKind::kCompaction);
   EXPECT_EQ(tasks[0].partitions.size(), 6u);
@@ -71,8 +75,7 @@ TEST(TaskCombinerTest, AllCompactionPartitionsFormOneTask) {
 
 TEST(TaskCombinerTest, AllZeroCopyPartitionsFormOneTask) {
   CombinerFixture fx(std::vector<EngineKind>(5, EngineKind::kZeroCopy));
-  const auto tasks = CombineTasks(fx.partitions, fx.state, fx.costs,
-                                  DefaultTco());
+  const auto tasks = fx.Combine(DefaultTco());
   ASSERT_EQ(tasks.size(), 1u);
   EXPECT_EQ(tasks[0].engine, EngineKind::kZeroCopy);
   EXPECT_EQ(tasks[0].zc_requests, 25u);
@@ -84,8 +87,7 @@ TEST(TaskCombinerTest, NonFilterPartitionBreaksFilterRun) {
   CombinerFixture fx({EngineKind::kFilter, EngineKind::kFilter,
                       EngineKind::kZeroCopy, EngineKind::kFilter,
                       EngineKind::kFilter});
-  const auto tasks = CombineTasks(fx.partitions, fx.state, fx.costs,
-                                  DefaultTco());
+  const auto tasks = fx.Combine(DefaultTco());
   // Tasks: filter{0,1}, filter{3,4}, zc{2}.
   ASSERT_EQ(tasks.size(), 3u);
   EXPECT_EQ(tasks[0].engine, EngineKind::kFilter);
@@ -99,8 +101,7 @@ TEST(TaskCombinerTest, MixedEnginesProduceExpectedGrouping) {
   CombinerFixture fx({EngineKind::kFilter, EngineKind::kCompaction,
                       EngineKind::kZeroCopy, EngineKind::kCompaction,
                       EngineKind::kFilter});
-  const auto tasks = CombineTasks(fx.partitions, fx.state, fx.costs,
-                                  DefaultTco());
+  const auto tasks = fx.Combine(DefaultTco());
   // filter{0}, filter{4}, zc{2}, compaction{1,3}.
   ASSERT_EQ(tasks.size(), 4u);
   int filters = 0;
@@ -117,7 +118,7 @@ TEST(TaskCombinerTest, DisabledCombiningYieldsOneTaskPerPartition) {
   CombinerFixture fx(std::vector<EngineKind>(7, EngineKind::kFilter));
   TaskCombinerOptions tco = DefaultTco();
   tco.enabled = false;
-  const auto tasks = CombineTasks(fx.partitions, fx.state, fx.costs, tco);
+  const auto tasks = fx.Combine(tco);
   EXPECT_EQ(tasks.size(), 7u);
   for (const Task& t : tasks) EXPECT_EQ(t.partitions.size(), 1u);
 }
@@ -125,8 +126,7 @@ TEST(TaskCombinerTest, DisabledCombiningYieldsOneTaskPerPartition) {
 TEST(TaskCombinerTest, InactivePartitionsAreSkipped) {
   CombinerFixture fx(std::vector<EngineKind>(4, EngineKind::kFilter));
   fx.state.stats[1].active_vertices = 0;  // deactivate partition 1
-  const auto tasks = CombineTasks(fx.partitions, fx.state, fx.costs,
-                                  DefaultTco());
+  const auto tasks = fx.Combine(DefaultTco());
   uint64_t covered = 0;
   for (const Task& t : tasks) {
     covered += t.partitions.size();
@@ -137,8 +137,7 @@ TEST(TaskCombinerTest, InactivePartitionsAreSkipped) {
 
 TEST(TaskCombinerTest, AggregatesSumPartitionStats) {
   CombinerFixture fx(std::vector<EngineKind>(3, EngineKind::kFilter));
-  const auto tasks = CombineTasks(fx.partitions, fx.state, fx.costs,
-                                  DefaultTco());
+  const auto tasks = fx.Combine(DefaultTco());
   ASSERT_EQ(tasks.size(), 1u);
   EXPECT_EQ(tasks[0].active_vertices, 15u);
   EXPECT_EQ(tasks[0].active_edges, 150u);
@@ -148,8 +147,7 @@ TEST(TaskCombinerTest, AggregatesSumPartitionStats) {
 TEST(TaskCombinerTest, EmptyStateProducesNoTasks) {
   CombinerFixture fx(std::vector<EngineKind>(3, EngineKind::kFilter));
   for (auto& s : fx.state.stats) s.active_vertices = 0;
-  const auto tasks = CombineTasks(fx.partitions, fx.state, fx.costs,
-                                  DefaultTco());
+  const auto tasks = fx.Combine(DefaultTco());
   EXPECT_TRUE(tasks.empty());
 }
 

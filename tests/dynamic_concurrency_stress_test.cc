@@ -160,7 +160,7 @@ void VerifyObservations(const std::vector<Observation>& observations,
 }
 
 /// The pinned-epoch stress body, parameterized by the solver's worker-lane
-/// count: num_workers=1 is the historical sequential-solver stress;
+/// count: num_workers=1 runs one inline lane per racing query;
 /// num_workers=4 adds per-partition lanes INSIDE each racing query, so
 /// lane threads, mutators, and the background compactor all contend on
 /// the same engine at once.

@@ -116,6 +116,16 @@ TEST(KernelTest, UnweightedGraphUsesWeightOne) {
   EXPECT_EQ(program.Values()[1], 1u);  // weight defaulted to 1, not 50
 }
 
+/// One pull iteration over the whole vertex space, as a one-lane solver
+/// runs it: reduce the floor, then gather.
+template <typename Program>
+uint64_t PullIteration(const GraphView& view, const Frontier& current,
+                       Program& program, Frontier* next) {
+  return RunPullKernel(view, current, program, next,
+                       PullIterationFloor(current, program), 0,
+                       view.num_vertices());
+}
+
 TEST(PullKernelTest, OneIterationMatchesPush) {
   const CsrGraph g = PaperFigure1Graph();
   const GraphView view = GraphView::Wrap(g);
@@ -130,7 +140,7 @@ TEST(PullKernelTest, OneIterationMatchesPush) {
   Frontier pull_current(view);
   Frontier pull_next(view);
   pull_program.InitFrontier(&pull_current);
-  RunPullKernel(view, pull_current, pull_program, &pull_next);
+  PullIteration(view, pull_current, pull_program, &pull_next);
 
   EXPECT_EQ(push_program.Values(), pull_program.Values());
   EXPECT_EQ(push_next.Collect(), pull_next.Collect());
@@ -158,7 +168,7 @@ TEST(PullKernelTest, RunsToTheSameFixpointAsPush) {
   }
   uint64_t pull_edges = 0;
   for (int iter = 0; iter < 64 && !pull_cur->Empty(); ++iter) {
-    pull_edges += RunPullKernel(view, *pull_cur, pull_program, pull_next);
+    pull_edges += PullIteration(view, *pull_cur, pull_program, pull_next);
     std::swap(pull_cur, pull_next);
     pull_next->Clear();
   }
@@ -180,7 +190,7 @@ TEST(PullKernelTest, SettledCandidatesSkipTheirScan) {
   Frontier* next = &b;
   program.InitFrontier(current);
   while (!current->Empty()) {
-    RunPullKernel(view, *current, program, next);
+    PullIteration(view, *current, program, next);
     std::swap(current, next);
     next->Clear();
   }
@@ -188,7 +198,7 @@ TEST(PullKernelTest, SettledCandidatesSkipTheirScan) {
   // vertices 2 and 3 sit above it but their only in-frontier parent offers
   // nothing better). No value changes, no activations.
   current->Activate(0);
-  RunPullKernel(view, *current, program, next);
+  PullIteration(view, *current, program, next);
   EXPECT_TRUE(next->Empty());
 }
 
@@ -211,7 +221,7 @@ TEST(PullKernelTest, PullsOverTheReverseOverlay) {
   Frontier* next = &b;
   program.InitFrontier(current);
   while (!current->Empty()) {
-    RunPullKernel(view, *current, program, next);
+    PullIteration(view, *current, program, next);
     std::swap(current, next);
     next->Clear();
   }

@@ -1,11 +1,12 @@
 // Parallel partition execution: per-partition solver lanes must be a pure
 // performance feature. For every algorithm and execution context — static
 // graph, mutated delta overlay, pull-direction traversal, tight-budget
-// out-of-core streaming — the values at 2/4/8 worker lanes must equal the
-// num_workers=1 sequential reference path: bitwise for the value-selection
-// family (their fixed points are unique and u32), within accumulation
-// tolerance for the f64 delta-accumulation family (PR/PHP), whose update
-// order legitimately varies across lane counts.
+// out-of-core streaming — the values at every lane count must match the
+// serial textbook algorithms of algorithms/reference.cc, and the values at
+// 2/4/8 worker lanes must equal the num_workers=1 (one-lane) run: bitwise
+// for the value-selection family (their fixed points are unique and u32),
+// within accumulation tolerance for the f64 delta-accumulation family
+// (PR/PHP), whose update order legitimately varies across lane counts.
 //
 // The merged-frontier determinism check runs on BFS with the in-iteration
 // extra rounds off, because those rounds are the one intentionally
@@ -13,12 +14,12 @@
 // neighbor, the winner decides whether the owner lane's extra rounds
 // consume the vertex this iteration or the barrier defers it to the next —
 // same values either way (the identity checks prove it), different
-// per-iteration counts. With extra rounds disabled every activation
-// crosses the barrier, and the owner-only merge must reproduce the exact
-// per-iteration active-vertex sequence run after run: BFS candidates in
-// iteration i are all level i+1, never an improvement on a settled vertex,
-// so the activation SET of each iteration is unique — any run-to-run
-// wobble would be a bug in the lane-local frontier/outbox merge itself.
+// per-iteration counts. With extra rounds disabled every activation waits
+// for the next iteration, and the owner writes plus the outbox merge must
+// reproduce the exact per-iteration active-vertex sequence run after run:
+// BFS candidates in iteration i are all level i+1, never an improvement on
+// a settled vertex, so the activation SET of each iteration is unique —
+// any run-to-run wobble would be a bug in the lane sink or the merge.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "algorithms/reference.h"
 #include "core/engine.h"
 #include "dynamic/mutation.h"
 #include "test_graphs.h"
@@ -131,20 +133,71 @@ QueryResult RunOne(Engine& engine, AlgorithmId algorithm) {
   return std::move(result).value();
 }
 
+/// The serial textbook result of `algorithm` on `graph` from `source`.
+QueryValues ReferenceValues(const CsrGraph& graph, AlgorithmId algorithm,
+                            VertexId source) {
+  switch (algorithm) {
+    case AlgorithmId::kBfs:
+      return ReferenceBfs(graph, source);
+    case AlgorithmId::kSssp:
+      return ReferenceSssp(graph, source);
+    case AlgorithmId::kCc:
+      return ReferenceCc(graph);
+    case AlgorithmId::kPageRank:
+      return ReferencePageRank(graph);
+    case AlgorithmId::kPhp:
+      return ReferencePhp(graph, source);
+    case AlgorithmId::kSswp:
+      return ReferenceSswp(graph, source);
+  }
+  return {};
+}
+
+/// Exact for the value-selection family; PR/PHP within 1e-3 of the largest
+/// reference value (at least 1), as the benchmark checks them.
+void ExpectMatchesReference(const QueryResult& got, const QueryValues& want,
+                            int workers) {
+  const std::string label = std::string(AlgorithmName(got.algorithm)) +
+                            " at " + std::to_string(workers) + " workers";
+  ASSERT_EQ(got.values.index(), want.index()) << label;
+  if (!got.is_f64()) {
+    EXPECT_EQ(got.u32(), std::get<std::vector<uint32_t>>(want))
+        << label << " diverged from algorithms/reference.cc";
+    return;
+  }
+  const auto& ref = std::get<std::vector<double>>(want);
+  ASSERT_EQ(got.f64().size(), ref.size()) << label;
+  double max_ref = 1.0;
+  for (double v : ref) max_ref = std::max(max_ref, std::abs(v));
+  for (size_t v = 0; v < ref.size(); ++v) {
+    ASSERT_NEAR(got.f64()[v], ref[v], 1e-3 * max_ref)
+        << label << " vertex " << v << " vs algorithms/reference.cc";
+  }
+}
+
 class ParallelExecutionTest : public ::testing::TestWithParam<Context> {};
 
-TEST_P(ParallelExecutionTest, ValuesMatchSequentialReferenceAtEveryWidth) {
+TEST_P(ParallelExecutionTest, ValuesMatchReferenceAndOneLaneAtEveryWidth) {
   const Context context = GetParam();
-  auto reference_engine = MakeEngine(context, /*num_workers=*/1);
-  std::map<AlgorithmId, QueryResult> reference;
+  auto one_lane_engine = MakeEngine(context, /*num_workers=*/1);
+  // The graph every context's queries see: base plus pending delta.
+  auto graph = one_lane_engine->View().Materialize();
+  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
+  std::map<AlgorithmId, QueryValues> textbook;
+  std::map<AlgorithmId, QueryResult> one_lane;
   for (AlgorithmId algorithm : kAllAlgorithms) {
-    reference.emplace(algorithm, RunOne(*reference_engine, algorithm));
+    QueryResult result = RunOne(*one_lane_engine, algorithm);
+    textbook.emplace(algorithm,
+                     ReferenceValues(*graph, algorithm, result.source));
+    ExpectMatchesReference(result, textbook.at(algorithm), 1);
+    one_lane.emplace(algorithm, std::move(result));
   }
   for (int workers : {2, 4, 8}) {
     auto engine = MakeEngine(context, workers);
     for (AlgorithmId algorithm : kAllAlgorithms) {
       const QueryResult got = RunOne(*engine, algorithm);
-      const QueryResult& want = reference.at(algorithm);
+      ExpectMatchesReference(got, textbook.at(algorithm), workers);
+      const QueryResult& want = one_lane.at(algorithm);
       if (got.is_f64()) {
         ASSERT_EQ(got.f64().size(), want.f64().size());
         double max_ref = 1e-12;
@@ -156,8 +209,8 @@ TEST_P(ParallelExecutionTest, ValuesMatchSequentialReferenceAtEveryWidth) {
         }
       } else {
         EXPECT_EQ(got.u32(), want.u32())
-            << AlgorithmName(algorithm) << " diverged from the sequential "
-            << "reference at " << workers << " workers";
+            << AlgorithmName(algorithm) << " diverged from the one-lane "
+            << "run at " << workers << " workers";
       }
     }
   }
@@ -188,12 +241,12 @@ TEST_P(ParallelExecutionTest, MergedFrontierIsDeterministicAcrossRuns) {
 /// requests clamp to the partition count and still answer correctly.
 TEST(ParallelExecutionClampTest, MoreLanesThanPartitionsStillCorrect) {
   CsrGraph graph = testing::ChainGraph(64);
-  SolverOptions sequential = SolverOptions::Defaults(SystemKind::kHyTGraph);
-  sequential.num_workers = 1;
-  Engine reference(testing::ChainGraph(64), sequential);
+  SolverOptions one_lane = SolverOptions::Defaults(SystemKind::kHyTGraph);
+  one_lane.num_workers = 1;
+  Engine reference(testing::ChainGraph(64), one_lane);
   const QueryResult want = RunOne(reference, AlgorithmId::kSssp);
 
-  SolverOptions wide = sequential;
+  SolverOptions wide = one_lane;
   wide.num_workers = 64;  // far beyond the partition count of a 64-chain
   Engine engine(std::move(graph), wide);
   const QueryResult got = RunOne(engine, AlgorithmId::kSssp);
@@ -201,13 +254,13 @@ TEST(ParallelExecutionClampTest, MoreLanesThanPartitionsStillCorrect) {
 }
 
 /// num_workers = 0 resolves to hardware concurrency; values still match.
-TEST(ParallelExecutionClampTest, AutoWorkerCountMatchesSequential) {
-  SolverOptions sequential = SolverOptions::Defaults(SystemKind::kHyTGraph);
-  sequential.num_workers = 1;
-  Engine reference(TestGraph(), sequential);
+TEST(ParallelExecutionClampTest, AutoWorkerCountMatchesOneLane) {
+  SolverOptions one_lane = SolverOptions::Defaults(SystemKind::kHyTGraph);
+  one_lane.num_workers = 1;
+  Engine reference(TestGraph(), one_lane);
   const QueryResult want = RunOne(reference, AlgorithmId::kBfs);
 
-  SolverOptions automatic = sequential;
+  SolverOptions automatic = one_lane;
   automatic.num_workers = 0;
   Engine engine(TestGraph(), automatic);
   const QueryResult got = RunOne(engine, AlgorithmId::kBfs);
