@@ -91,9 +91,12 @@ struct SolverOptions {
   double direction_beta = 24.0;
   /// Auto mode reads the push kernels' incrementally maintained scout count
   /// (sum of activated out-degrees) for m_f instead of rescanning the
-  /// frontier bitmap each decision. The values are identical (asserted in
-  /// engine_direction_test); false forces the O(n_f) scan — an A/B switch,
-  /// not a semantics knob.
+  /// frontier bitmap each decision. The values are identical:
+  /// engine_direction_test pairs a scout run with a scan run on serial
+  /// kernels (two pool-sharded runs differ in their schedule anyway), and
+  /// engine_kernels_test checks the count against the scan under
+  /// concurrent activation within one run. false forces the O(n_f) scan —
+  /// an A/B switch, not a semantics knob.
   bool incremental_scout_count = true;
 
   /// Extra asynchronous rounds over a loaded subgraph. HyTGraph processes

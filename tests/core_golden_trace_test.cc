@@ -15,13 +15,11 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "core/engine.h"
 #include "dynamic/mutation.h"
 #include "test_graphs.h"
-#include "util/thread_pool.h"
 
 namespace hytgraph {
 namespace {
@@ -177,11 +175,7 @@ std::vector<uint64_t> ComputeDigests() {
 /// then runs serially and the schedule is fixed.
 std::vector<uint64_t> ComputeDigestsSerially() {
   std::vector<uint64_t> digests;
-  std::thread worker([&] {
-    ThreadPool::MarkWorkerThread();
-    digests = ComputeDigests();
-  });
-  worker.join();
+  testing::RunSerially([&] { digests = ComputeDigests(); });
   return digests;
 }
 

@@ -8,7 +8,9 @@
 #include "algorithms/programs.h"
 #include "dynamic/delta_overlay.h"
 #include "dynamic/mutation.h"
+#include "engine/partition_state.h"
 #include "test_graphs.h"
+#include "util/thread_pool.h"
 
 namespace hytgraph {
 namespace {
@@ -114,6 +116,39 @@ TEST(KernelTest, UnweightedGraphUsesWeightOne) {
   Frontier next(g->num_vertices());
   RunKernel(*g, std::vector<VertexId>{0}, program, &next);
   EXPECT_EQ(program.Values()[1], 1u);  // weight defaulted to 1, not 50
+}
+
+TEST(KernelTest, ScoutCountExactUnderConcurrentActivation) {
+  // Called from the main thread, so the kernel's ParallelFor shards over
+  // the pool and activations race on the shared scout counter. Both sides
+  // of each comparison come from the same frontier, so thread timing
+  // cannot change the expected value.
+  const CsrGraph g = testing::SmallRmat(/*scale=*/12, /*edge_factor=*/8,
+                                        /*seed=*/19);
+  const GraphView view = GraphView::Wrap(g);
+  PageRankProgram program(view);
+  Frontier current(view);
+  Frontier next(view);
+  program.InitFrontier(&current);  // every vertex active
+  RunKernel(view, current.Collect(), program, &next);
+  ASSERT_FALSE(next.Empty());
+  EXPECT_TRUE(next.ScoutValid());
+  EXPECT_EQ(next.ScoutCount(), FrontierActiveEdges(view, next));
+
+  // Concurrent degree-carrying deactivation keeps the count exact too.
+  const uint64_t active_before = next.CountActive();
+  ThreadPool::Default()->ParallelFor(
+      view.num_vertices(), [&](int /*shard*/, uint64_t begin, uint64_t end) {
+        for (uint64_t v = begin; v < end; ++v) {
+          if (v % 2 == 0) {
+            next.Deactivate(static_cast<VertexId>(v),
+                            view.out_degree(static_cast<VertexId>(v)));
+          }
+        }
+      });
+  ASSERT_LT(next.CountActive(), active_before);
+  EXPECT_TRUE(next.ScoutValid());
+  EXPECT_EQ(next.ScoutCount(), FrontierActiveEdges(view, next));
 }
 
 /// One pull iteration over the whole vertex space, as a one-lane solver

@@ -1,8 +1,9 @@
-// Shared fixture graphs for the test suite.
+// Shared fixture graphs and helpers for the test suite.
 
 #ifndef HYTGRAPH_TESTS_TEST_GRAPHS_H_
 #define HYTGRAPH_TESTS_TEST_GRAPHS_H_
 
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -10,8 +11,21 @@
 #include "graph/graph_builder.h"
 #include "graph/rmat_generator.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace hytgraph::testing {
+
+/// Runs `body` on a thread marked as a pool worker and waits for it. Every
+/// kernel ParallelFor then runs serially, so two runs of one query repeat
+/// each other exactly; pool-sharded runs differ in per-iteration counts.
+template <typename Body>
+void RunSerially(const Body& body) {
+  std::thread worker([&] {
+    ThreadPool::MarkWorkerThread();
+    body();
+  });
+  worker.join();
+}
 
 /// The worked SSSP example of Fig. 1 in the paper: 6 vertices a..f = 0..5,
 /// weighted, directed. Shortest distances from a: {0, 2, 4, 3, 4, 6}.
