@@ -84,8 +84,8 @@ class LaneSink {
   /// Returns true if v was newly activated (owned) or newly queued
   /// (foreign) by this call. Kernels call this once per improving edge, so
   /// the ownership test is one unsigned compare on the sink's own fields.
-  bool Activate(VertexId v, EdgeId out_degree) {
-    if (v - v_begin_ < owned_count_) return next_->Activate(v, out_degree);
+  bool Activate(VertexId v, const GraphView& view) {
+    if (v - v_begin_ < owned_count_) return next_->Activate(v, view);
     if (!lane_->foreign_seen.TestAndSet(v)) return false;
     const auto owner = static_cast<size_t>(
         std::upper_bound(lane_starts_.begin(), lane_starts_.end(), v) -

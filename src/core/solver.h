@@ -512,14 +512,14 @@ class Solver {
     // activations its peers queued for it. Owned activations already went
     // straight into `next`, so every vertex is published by its owner only
     // (the shared bitmap's words are near-disjoint: only range-boundary
-    // words are shared), and the degree-carrying Activate keeps the scout
+    // words are shared), and the view-carrying Activate keeps the scout
     // count exact for the next direction decision. Activation is
     // idempotent set semantics, so the merged bitmap and scout sum are
     // independent of lane interleaving.
     team->Run([&](int l) {
       for (const auto& peer : lanes) {
         for (const VertexId v : peer->outbox[l]) {
-          next->Activate(v, view_.out_degree(v));
+          next->Activate(v, view_);
         }
       }
     });

@@ -140,13 +140,13 @@ Result<CsrGraph> DeltaOverlay::Materialize() const {
   const VertexId n = num_vertices();
   const bool weighted = is_weighted();
 
-  std::vector<EdgeId> row_offsets(n + 1, 0);
+  PageVector<EdgeId> row_offsets(n + 1, 0);
   for (VertexId v = 0; v < n; ++v) {
     row_offsets[v + 1] = row_offsets[v] + out_degree(v);
   }
 
-  std::vector<VertexId> column_index;
-  std::vector<Weight> edge_weights;
+  PageVector<VertexId> column_index;
+  PageVector<Weight> edge_weights;
   column_index.reserve(row_offsets[n]);
   if (weighted) edge_weights.reserve(row_offsets[n]);
   BlockRef lease;  // ascending scan: one acquire per base block

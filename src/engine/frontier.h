@@ -17,8 +17,8 @@
 // The frontier also tracks the *scout count* (Beamer's term): the sum of
 // view-adjusted out-degrees of the active vertices — the m_f the auto
 // push->pull direction decision compares against |E|/alpha. Producers that
-// know the activated vertex's out-degree (the push kernels) maintain it
-// incrementally via Activate(v, degree); producers that do not (program
+// have the view at hand (the push kernels) maintain it incrementally via
+// Activate(v, view); producers that do not (program
 // InitFrontier hooks, the pull kernel's local activation) use the plain
 // overloads, which mark the scout count invalid — the solver then falls
 // back to the O(n_f) FrontierActiveEdges bitmap scan for that one decision
@@ -57,14 +57,15 @@ class Frontier {
     return true;
   }
 
-  /// Thread-safe activation that maintains the scout count: `out_degree`
-  /// must be v's out-degree in the view this frontier spans (the same
-  /// degrees FrontierActiveEdges would sum). Returns true if v was newly
-  /// activated.
-  bool Activate(VertexId v, EdgeId out_degree) {
+  /// Thread-safe activation that maintains the scout count: adds v's
+  /// out-degree in `view`, the view this frontier spans (the same degrees
+  /// FrontierActiveEdges would sum). The degree is looked up only when v is
+  /// newly activated, so a push kernel calling this per improving edge pays
+  /// for it once per vertex. Returns true if v was newly activated.
+  bool Activate(VertexId v, const GraphView& view) {
     if (!bitmap_.TestAndSet(v)) return false;
     active_count_.fetch_add(1, std::memory_order_relaxed);
-    scout_count_.fetch_add(out_degree, std::memory_order_relaxed);
+    scout_count_.fetch_add(view.out_degree(v), std::memory_order_relaxed);
     return true;
   }
 
@@ -78,7 +79,8 @@ class Frontier {
     }
   }
 
-  /// Scout-maintaining deactivation; `out_degree` as in Activate.
+  /// Scout-maintaining deactivation: `out_degree` must be v's out-degree in
+  /// the view this frontier spans.
   void Deactivate(VertexId v, EdgeId out_degree) {
     if (bitmap_.TestAndClear(v)) {
       active_count_.fetch_sub(1, std::memory_order_relaxed);

@@ -59,13 +59,13 @@ concept PullCapableProgram =
 /// activating changed targets in `next`. Returns the number of edges
 /// processed (the kernel-time unit).
 ///
-/// Activations carry the target's view-adjusted out-degree, so `next`'s
-/// scout count (activated out-edges, Beamer's m_f) stays exact — the auto
-/// direction decision reads it in O(1) instead of rescanning the bitmap.
-/// The degree lookup runs once per *newly activated* vertex (the bitmap
-/// filters re-activations), not per edge.
+/// Activations carry the view, so `next`'s scout count (activated
+/// out-edges, Beamer's m_f) stays exact — the auto direction decision reads
+/// it in O(1) instead of rescanning the bitmap. The sink looks the target's
+/// degree up once per *newly activated* vertex (the bitmap filters
+/// re-activations), not per improving edge.
 ///
-/// `Sink` is anything with Frontier's Activate(v, degree) surface: a
+/// `Sink` is anything with Frontier's Activate(v, view) surface: a
 /// Frontier, or the solver's LaneSink (core/lane_state.h), which writes the
 /// lane's own vertices into the next frontier and queues the others for
 /// their owning lane.
@@ -90,7 +90,7 @@ uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
             view.ForEachNeighborLeased(u, &lease, [&](VertexId v, Weight w) {
               ++local_edges;
               if (program.ProcessEdge(ctx, u, v, w)) {
-                next->Activate(v, view.out_degree(v));
+                next->Activate(v, view);
               }
             });
             continue;
@@ -104,13 +104,13 @@ uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
           if (wts.empty()) {
             for (const VertexId v : nbrs) {
               if (program.ProcessEdge(ctx, u, v, Weight{1})) {
-                next->Activate(v, view.out_degree(v));
+                next->Activate(v, view);
               }
             }
           } else {
             for (size_t e = 0; e < nbrs.size(); ++e) {
               if (program.ProcessEdge(ctx, u, nbrs[e], wts[e])) {
-                next->Activate(nbrs[e], view.out_degree(nbrs[e]));
+                next->Activate(nbrs[e], view);
               }
             }
           }
@@ -236,7 +236,7 @@ uint64_t RunPullKernel(const GraphView& view, const Frontier& current,
 /// Same as RunKernel but over a compacted subgraph (Subway-style GPU-side
 /// processing of the shipped sub-CSR). Identical relaxation semantics.
 /// `view` is the graph the sub-CSR was compacted from — activations carry
-/// its degrees so the scout count stays exact (targets can lie outside the
+/// it so the scout count stays exact (targets can lie outside the
 /// compacted vertex set, so the sub-CSR's own offsets can't supply them).
 template <typename Program, typename Sink = Frontier>
 uint64_t RunKernelOnSubCsr(const GraphView& view, const SubCsr& sub,
@@ -257,8 +257,7 @@ uint64_t RunKernelOnSubCsr(const GraphView& view, const SubCsr& sub,
           for (EdgeId e = lo; e < hi; ++e) {
             const Weight w = sub.weights.empty() ? Weight{1} : sub.weights[e];
             if (program.ProcessEdge(ctx, u, sub.column_index[e], w)) {
-              next->Activate(sub.column_index[e],
-                             view.out_degree(sub.column_index[e]));
+              next->Activate(sub.column_index[e], view);
             }
           }
         }

@@ -38,12 +38,12 @@ Result<CsrGraph> StreamedTranspose(const CsrGraph& base,
   const bool weighted = base.is_weighted();
   const std::vector<uint32_t>& in_degrees = base.in_degrees();
 
-  std::vector<EdgeId> row_offsets(static_cast<size_t>(n) + 1, 0);
+  PageVector<EdgeId> row_offsets(static_cast<size_t>(n) + 1, 0);
   for (VertexId v = 0; v < n; ++v) {
     row_offsets[v + 1] = row_offsets[v] + in_degrees[v];
   }
-  std::vector<VertexId> column_index(base.num_edges());
-  std::vector<Weight> edge_weights;
+  PageVector<VertexId> column_index(base.num_edges());
+  PageVector<Weight> edge_weights;
   if (weighted) edge_weights.resize(base.num_edges());
 
   std::vector<EdgeId> cursor(row_offsets.begin(), row_offsets.end() - 1);

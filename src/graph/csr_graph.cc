@@ -7,9 +7,9 @@
 
 namespace hytgraph {
 
-Result<CsrGraph> CsrGraph::Create(std::vector<EdgeId> row_offsets,
-                                  std::vector<VertexId> column_index,
-                                  std::vector<Weight> edge_weights) {
+Result<CsrGraph> CsrGraph::Create(PageVector<EdgeId> row_offsets,
+                                  PageVector<VertexId> column_index,
+                                  PageVector<Weight> edge_weights) {
   if (row_offsets.empty()) {
     return Status::InvalidArgument("row_offsets must have >= 1 entry");
   }
@@ -49,10 +49,8 @@ void CsrGraph::ReleaseEdgeData() {
   // Materialize every degree-derived cache while the arrays are still here.
   in_degrees();
   edges_resident_ = false;
-  column_index_.clear();
-  column_index_.shrink_to_fit();
-  edge_weights_.clear();
-  edge_weights_.shrink_to_fit();
+  PageVector<VertexId>().swap(column_index_);
+  PageVector<Weight>().swap(edge_weights_);
 }
 
 EdgeId CsrGraph::max_out_degree() const {

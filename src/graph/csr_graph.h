@@ -3,6 +3,11 @@
 // index) array is what the paper keeps GPU-resident; `column_index` and
 // `edge_weights` are the host-resident edge-associated arrays whose transfer
 // the whole system is about.
+//
+// The three arrays are PageVectors (util/page_vector.h): any of them of
+// 1 MiB or more is its own mapping from the OS, so ReleaseEdgeData() (the
+// out-of-core spill) and the destruction of a folded-away snapshot return
+// those pages at once, on whatever thread drops the last reference.
 
 #ifndef HYTGRAPH_GRAPH_CSR_GRAPH_H_
 #define HYTGRAPH_GRAPH_CSR_GRAPH_H_
@@ -14,6 +19,7 @@
 #include <vector>
 
 #include "graph/types.h"
+#include "util/page_vector.h"
 #include "util/status.h"
 
 namespace hytgraph {
@@ -26,9 +32,9 @@ class CsrGraph {
   /// num_vertices+1 entries, be non-decreasing, start at 0 and end at
   /// column_index.size(); `edge_weights` must be empty or match
   /// column_index.size().
-  static Result<CsrGraph> Create(std::vector<EdgeId> row_offsets,
-                                 std::vector<VertexId> column_index,
-                                 std::vector<Weight> edge_weights);
+  static Result<CsrGraph> Create(PageVector<EdgeId> row_offsets,
+                                 PageVector<VertexId> column_index,
+                                 PageVector<Weight> edge_weights);
 
   VertexId num_vertices() const {
     return row_offsets_.empty()
@@ -70,9 +76,9 @@ class CsrGraph {
                                    out_degree(v));
   }
 
-  const std::vector<EdgeId>& row_offsets() const { return row_offsets_; }
-  const std::vector<VertexId>& column_index() const { return column_index_; }
-  const std::vector<Weight>& edge_weights() const { return edge_weights_; }
+  const PageVector<EdgeId>& row_offsets() const { return row_offsets_; }
+  const PageVector<VertexId>& column_index() const { return column_index_; }
+  const PageVector<Weight>& edge_weights() const { return edge_weights_; }
 
   /// In-degrees (computed lazily once, cached). Needed by hub sorting
   /// (formula (4) uses Di(v)).
@@ -104,17 +110,17 @@ class CsrGraph {
   Status Validate() const;
 
  private:
-  CsrGraph(std::vector<EdgeId> row_offsets, std::vector<VertexId> column_index,
-           std::vector<Weight> edge_weights)
+  CsrGraph(PageVector<EdgeId> row_offsets, PageVector<VertexId> column_index,
+           PageVector<Weight> edge_weights)
       : row_offsets_(std::move(row_offsets)),
         column_index_(std::move(column_index)),
         edge_weights_(std::move(edge_weights)),
         num_edges_(column_index_.size()),
         weighted_(!edge_weights_.empty()) {}
 
-  std::vector<EdgeId> row_offsets_;
-  std::vector<VertexId> column_index_;
-  std::vector<Weight> edge_weights_;
+  PageVector<EdgeId> row_offsets_;
+  PageVector<VertexId> column_index_;
+  PageVector<Weight> edge_weights_;
 
   // Survive ReleaseEdgeData(): the answers no longer derivable from the
   // (cleared) edge arrays.

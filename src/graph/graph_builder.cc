@@ -1,10 +1,6 @@
 #include "graph/graph_builder.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
-#include <new>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -30,35 +26,6 @@ struct BucketedEdge {
   VertexId src;
   VertexId dst;
   Weight weight;
-};
-
-/// An uninitialized array mapped straight from the OS. Unmapping returns its
-/// pages at once. Through malloc, an m-sized scratch buffer freed in one
-/// build would make glibc serve the next build's buffers of that size from
-/// its heap (the dynamic mmap threshold) and keep tens of MB resident after
-/// the build. The pages are first touched by the parallel scatter.
-template <typename T>
-class MappedArray {
- public:
-  explicit MappedArray(size_t size) : bytes_(size * sizeof(T)) {
-    if (bytes_ == 0) return;
-    void* p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    data_ = static_cast<T*>(p);
-  }
-  ~MappedArray() {
-    if (data_ != nullptr) munmap(data_, bytes_);
-  }
-  MappedArray(const MappedArray&) = delete;
-  MappedArray& operator=(const MappedArray&) = delete;
-
-  T* data() { return data_; }
-  T& operator[](size_t i) { return data_[i]; }
-
- private:
-  size_t bytes_;
-  T* data_ = nullptr;
 };
 
 /// (dst, weight) packed so that sorting keys orders a row by dst, then
@@ -93,7 +60,7 @@ std::vector<uint64_t> BalancedSplit(const std::vector<EdgeId>& prefix,
 // thread count, and nested calls from a pool worker run the same passes
 // serially. Scratch beyond the bucketed copy of the edges is O(n + tasks x
 // buckets) plus, per task, the keys of its largest bucket.
-Result<CsrGraph> BuildCsr(VertexId num_vertices, std::vector<Edge> edges,
+Result<CsrGraph> BuildCsr(VertexId num_vertices, PageVector<Edge> edges,
                           const BuilderOptions& options) {
   ThreadPool* pool = ThreadPool::Default();
   const uint64_t n = num_vertices;
@@ -160,7 +127,7 @@ Result<CsrGraph> BuildCsr(VertexId num_vertices, std::vector<Edge> edges,
   bucket_start[num_buckets] = kept;
 
   // Pass 1b: scatter the kept edges into their buckets.
-  std::optional<MappedArray<BucketedEdge>> bucketed(std::in_place, kept);
+  PageVector<BucketedEdge> bucketed(kept);
   pool->ParallelFor(
       tasks,
       [&](int /*shard*/, uint64_t task_begin, uint64_t task_end) {
@@ -169,13 +136,13 @@ Result<CsrGraph> BuildCsr(VertexId num_vertices, std::vector<Edge> edges,
           for (uint64_t i = chunk_begin(t); i < chunk_begin(t + 1); ++i) {
             for_each_kept(edges[i], [&](VertexId src, VertexId dst,
                                         Weight w) {
-              (*bucketed)[next[src >> shift]++] = BucketedEdge{src, dst, w};
+              bucketed[next[src >> shift]++] = BucketedEdge{src, dst, w};
             });
           }
         }
       },
       /*min_grain=*/1);
-  std::vector<Edge>().swap(edges);
+  PageVector<Edge>().swap(edges);
 
   // Pass 2, per bucket: counting-sort the bucket by source into packed
   // keys, sort and deduplicate each row there while it is in cache, and
@@ -183,10 +150,10 @@ Result<CsrGraph> BuildCsr(VertexId num_vertices, std::vector<Edge> edges,
   // extents from before deduplication; row_length[v] is what survives.
   const std::vector<uint64_t> task_buckets =
       BalancedSplit(bucket_start, tasks);
-  std::vector<EdgeId> row_offsets(n + 1, 0);
+  PageVector<EdgeId> row_offsets(n + 1, 0);
   std::vector<EdgeId> row_length(options.deduplicate ? n : 0);
-  std::vector<VertexId> column_index(kept);
-  std::vector<Weight> edge_weights(options.weighted ? kept : 0);
+  PageVector<VertexId> column_index(kept);
+  PageVector<Weight> edge_weights(options.weighted ? kept : 0);
   // Task t sorts in keys[key_base[t], key_base[t + 1]), sized to its
   // largest bucket. Allocated here, not on the pool workers, so the workers
   // keep no malloc arenas of their own resident after the build.
@@ -198,7 +165,7 @@ Result<CsrGraph> BuildCsr(VertexId num_vertices, std::vector<Edge> edges,
     }
     key_base[t + 1] = key_base[t] + largest;
   }
-  MappedArray<uint64_t> keys(key_base[tasks]);
+  PageVector<uint64_t> keys(key_base[tasks]);
   pool->ParallelFor(
       tasks,
       [&](int /*shard*/, uint64_t task_begin, uint64_t task_end) {
@@ -211,7 +178,7 @@ Result<CsrGraph> BuildCsr(VertexId num_vertices, std::vector<Edge> edges,
             // row_offsets[v] counts row v, then holds the row's end, and
             // after the backward scatter its start.
             for (EdgeId i = begin; i < end; ++i) {
-              ++row_offsets[(*bucketed)[i].src];
+              ++row_offsets[bucketed[i].src];
             }
             EdgeId row_end = begin;
             for (uint64_t v = lo; v < hi; ++v) {
@@ -219,7 +186,7 @@ Result<CsrGraph> BuildCsr(VertexId num_vertices, std::vector<Edge> edges,
               row_offsets[v] = row_end;
             }
             for (EdgeId i = end; i-- > begin;) {
-              const BucketedEdge& e = (*bucketed)[i];
+              const BucketedEdge& e = bucketed[i];
               task_keys[--row_offsets[e.src] - begin] =
                   PackKey(e.dst, e.weight);
             }
@@ -247,17 +214,17 @@ Result<CsrGraph> BuildCsr(VertexId num_vertices, std::vector<Edge> edges,
       },
       /*min_grain=*/1);
   row_offsets[n] = kept;
-  bucketed.reset();
+  PageVector<BucketedEdge>().swap(bucketed);
 
   if (options.deduplicate) {
     // Close the gaps deduplication left behind the shortened rows.
-    std::vector<EdgeId> offsets(n + 1, 0);
+    PageVector<EdgeId> offsets(n + 1, 0);
     for (uint64_t v = 0; v < n; ++v) {
       offsets[v + 1] = offsets[v] + row_length[v];
     }
     if (offsets[n] < kept) {
-      std::vector<VertexId> compact_index(offsets[n]);
-      std::vector<Weight> compact_weights(options.weighted ? offsets[n] : 0);
+      PageVector<VertexId> compact_index(offsets[n]);
+      PageVector<Weight> compact_weights(options.weighted ? offsets[n] : 0);
       pool->ParallelFor(
           tasks,
           [&](int /*shard*/, uint64_t task_begin, uint64_t task_end) {
@@ -286,7 +253,7 @@ Result<CsrGraph> BuildFromTriples(
     VertexId num_vertices,
     const std::vector<std::tuple<VertexId, VertexId, Weight>>& triples,
     const BuilderOptions& options) {
-  std::vector<Edge> edges;
+  PageVector<Edge> edges;
   edges.reserve(triples.size());
   for (const auto& [src, dst, weight] : triples) {
     edges.push_back(Edge{src, dst, weight});

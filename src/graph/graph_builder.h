@@ -9,6 +9,7 @@
 
 #include "graph/csr_graph.h"
 #include "graph/types.h"
+#include "util/page_vector.h"
 #include "util/status.h"
 
 namespace hytgraph {
@@ -28,7 +29,7 @@ struct BuilderOptions {
 /// Fails, naming the first such edge in input order, if any endpoint is out
 /// of range. Runs on ThreadPool::Default(); the result does not depend on
 /// the thread count.
-Result<CsrGraph> BuildCsr(VertexId num_vertices, std::vector<Edge> edges,
+Result<CsrGraph> BuildCsr(VertexId num_vertices, PageVector<Edge> edges,
                           const BuilderOptions& options = {});
 
 /// Convenience: small graphs in tests, e.g.

@@ -25,7 +25,7 @@ bool WritePod(std::ofstream& out, const T& value) {
 }
 
 template <typename T>
-bool WriteVector(std::ofstream& out, const std::vector<T>& data) {
+bool WriteVector(std::ofstream& out, const PageVector<T>& data) {
   const uint64_t count = data.size();
   if (!WritePod(out, count)) return false;
   out.write(reinterpret_cast<const char*>(data.data()),
@@ -42,7 +42,7 @@ bool ReadPod(std::ifstream& in, T* value) {
 /// Reads a count-prefixed array. A count larger than the bytes left in the
 /// file fails before anything is allocated.
 template <typename T>
-bool ReadVector(std::ifstream& in, uint64_t file_size, std::vector<T>* data) {
+bool ReadVector(std::ifstream& in, uint64_t file_size, PageVector<T>* data) {
   uint64_t count = 0;
   if (!ReadPod(in, &count)) return false;
   const auto pos = static_cast<uint64_t>(in.tellg());
@@ -84,9 +84,9 @@ Result<CsrGraph> LoadCsrBinary(const std::string& path) {
   if (!ReadPod(in, &version) || version != kVersion) {
     return Status::IOError("unsupported HYTG CSR version in " + path);
   }
-  std::vector<EdgeId> row_offsets;
-  std::vector<VertexId> column_index;
-  std::vector<Weight> edge_weights;
+  PageVector<EdgeId> row_offsets;
+  PageVector<VertexId> column_index;
+  PageVector<Weight> edge_weights;
   if (!ReadVector(in, file_size, &row_offsets) ||
       !ReadVector(in, file_size, &column_index) ||
       !ReadVector(in, file_size, &edge_weights)) {
@@ -102,7 +102,7 @@ Result<CsrGraph> LoadEdgeListText(const std::string& path,
   if (!in.is_open()) {
     return Status::IOError("cannot open for reading: " + path);
   }
-  std::vector<Edge> edges;
+  PageVector<Edge> edges;
   VertexId max_vertex = 0;
   std::string line;
   size_t line_no = 0;

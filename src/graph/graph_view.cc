@@ -94,8 +94,8 @@ Result<CsrGraph> GraphView::Materialize() const {
   // out of the block file.
   const VertexId n = base_->num_vertices();
   const bool weighted = base_->is_weighted();
-  std::vector<VertexId> column_index;
-  std::vector<Weight> edge_weights;
+  PageVector<VertexId> column_index;
+  PageVector<Weight> edge_weights;
   column_index.reserve(base_->num_edges());
   if (weighted) edge_weights.reserve(base_->num_edges());
   BlockRef lease;

@@ -71,13 +71,13 @@ HubOrder BuildHubOrder(const std::vector<double>& scores,
 Result<CsrGraph> RelabelCsr(const CsrGraph& graph, const EdgeBlockStore* store,
                             const HubOrder& order) {
   const VertexId n = graph.num_vertices();
-  std::vector<EdgeId> row_offsets(static_cast<size_t>(n) + 1, 0);
+  PageVector<EdgeId> row_offsets(static_cast<size_t>(n) + 1, 0);
   for (VertexId new_v = 0; new_v < n; ++new_v) {
     row_offsets[new_v + 1] =
         row_offsets[new_v] + graph.out_degree(order.new_to_old[new_v]);
   }
-  std::vector<VertexId> column_index(graph.num_edges());
-  std::vector<Weight> edge_weights;
+  PageVector<VertexId> column_index(graph.num_edges());
+  PageVector<Weight> edge_weights;
   if (graph.is_weighted()) edge_weights.resize(graph.num_edges());
   BlockRef lease;
   for (VertexId new_v = 0; new_v < n; ++new_v) {

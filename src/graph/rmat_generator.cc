@@ -46,7 +46,7 @@ Result<CsrGraph> GenerateRmat(const RmatOptions& options) {
   const VertexId n = VertexId{1} << options.scale;
   const EdgeId m = static_cast<EdgeId>(n) * options.edge_factor;
 
-  std::vector<Edge> edges(m);
+  PageVector<Edge> edges(m);
 
   // Optional vertex relabeling (deterministic Fisher-Yates permutation).
   std::vector<VertexId> perm;
@@ -102,7 +102,7 @@ Result<CsrGraph> GenerateUniform(const UniformGraphOptions& options) {
   if (options.num_vertices == 0) {
     return Status::InvalidArgument("num_vertices must be > 0");
   }
-  std::vector<Edge> edges(options.num_edges);
+  PageVector<Edge> edges(options.num_edges);
   constexpr uint64_t kBlock = 64 * 1024;
   ThreadPool::Default()->ParallelFor(
       CeilDiv(options.num_edges, kBlock),

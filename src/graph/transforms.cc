@@ -9,7 +9,7 @@ namespace hytgraph {
 
 Result<CsrGraph> ReverseGraph(const CsrGraph& graph) {
   const VertexId n = graph.num_vertices();
-  std::vector<EdgeId> row_offsets(static_cast<size_t>(n) + 1, 0);
+  PageVector<EdgeId> row_offsets(static_cast<size_t>(n) + 1, 0);
   // Counting pass over in-degrees.
   for (VertexId dst : graph.column_index()) {
     ++row_offsets[dst + 1];
@@ -17,8 +17,8 @@ Result<CsrGraph> ReverseGraph(const CsrGraph& graph) {
   for (size_t i = 1; i < row_offsets.size(); ++i) {
     row_offsets[i] += row_offsets[i - 1];
   }
-  std::vector<VertexId> column_index(graph.num_edges());
-  std::vector<Weight> weights;
+  PageVector<VertexId> column_index(graph.num_edges());
+  PageVector<Weight> weights;
   if (graph.is_weighted()) weights.resize(graph.num_edges());
   std::vector<EdgeId> cursor(row_offsets.begin(), row_offsets.end() - 1);
   const bool weighted = graph.is_weighted();
@@ -36,7 +36,7 @@ Result<CsrGraph> ReverseGraph(const CsrGraph& graph) {
 }
 
 Result<CsrGraph> SymmetrizeGraph(const CsrGraph& graph, bool deduplicate) {
-  std::vector<Edge> edges;
+  PageVector<Edge> edges;
   edges.reserve(graph.num_edges() * 2);
   for (VertexId u = 0; u < graph.num_vertices(); ++u) {
     const auto nbrs = graph.neighbors(u);
@@ -68,7 +68,7 @@ Result<CsrGraph> InducedSubgraph(const CsrGraph& graph,
     }
     old_to_new[v] = static_cast<VertexId>(i);
   }
-  std::vector<Edge> edges;
+  PageVector<Edge> edges;
   for (size_t i = 0; i < vertices.size(); ++i) {
     const VertexId u = vertices[i];
     const auto nbrs = graph.neighbors(u);

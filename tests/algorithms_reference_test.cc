@@ -93,7 +93,7 @@ TEST(ReferencePageRankTest, SymmetricStructureGivesEqualRanks) {
 TEST(ReferencePageRankTest, HubReceivesMoreRankThanLeaves) {
   // Star with edges both ways: hub has in-degree n-1.
   auto g = BuildCsr(10, [] {
-    std::vector<Edge> edges;
+    PageVector<Edge> edges;
     for (VertexId v = 1; v < 10; ++v) {
       edges.push_back({0, v, 1});
       edges.push_back({v, 0, 1});

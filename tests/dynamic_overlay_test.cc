@@ -174,7 +174,7 @@ TEST(DeltaOverlayTest, ResetReanchorsOnNewBase) {
 /// semantics (delete removes all matching src->dst, insert appends).
 struct EdgeListModel {
   VertexId num_vertices;
-  std::vector<Edge> edges;
+  PageVector<Edge> edges;
 
   void Apply(const MutationBatch& batch) {
     for (const EdgeMutation& m : batch.mutations()) {

@@ -97,7 +97,7 @@ TEST(GraphBuilderTest, TriplesConvenience) {
 // The sort-based builder that the counting-sort BuildCsr replaced: append
 // reverses, drop self loops, sort by (src, dst, weight), keep the first edge
 // of every (src, dst) run.
-Result<CsrGraph> ReferenceBuild(VertexId n, std::vector<Edge> edges,
+Result<CsrGraph> ReferenceBuild(VertexId n, PageVector<Edge> edges,
                                 const BuilderOptions& options) {
   for (const Edge& e : edges) {
     if (e.src >= n || e.dst >= n) {
@@ -126,13 +126,13 @@ Result<CsrGraph> ReferenceBuild(VertexId n, std::vector<Edge> edges,
                             }),
                 edges.end());
   }
-  std::vector<EdgeId> row_offsets(static_cast<size_t>(n) + 1, 0);
+  PageVector<EdgeId> row_offsets(static_cast<size_t>(n) + 1, 0);
   for (const Edge& e : edges) ++row_offsets[e.src + 1];
   for (size_t i = 1; i < row_offsets.size(); ++i) {
     row_offsets[i] += row_offsets[i - 1];
   }
-  std::vector<VertexId> column_index;
-  std::vector<Weight> edge_weights;
+  PageVector<VertexId> column_index;
+  PageVector<Weight> edge_weights;
   for (const Edge& e : edges) {
     column_index.push_back(e.dst);
     if (options.weighted) edge_weights.push_back(e.weight);
@@ -143,7 +143,7 @@ Result<CsrGraph> ReferenceBuild(VertexId n, std::vector<Edge> edges,
 
 // Runs BuildCsr on a pool worker, where its nested ParallelFor calls run
 // serially on that worker.
-Result<CsrGraph> BuildSerially(VertexId n, std::vector<Edge> edges,
+Result<CsrGraph> BuildSerially(VertexId n, PageVector<Edge> edges,
                                const BuilderOptions& options) {
   ThreadPool pool(2);
   std::optional<Result<CsrGraph>> result;
@@ -159,11 +159,11 @@ Result<CsrGraph> BuildSerially(VertexId n, std::vector<Edge> edges,
 // Random edges over the first n - 64 vertices (the rest stay isolated), with
 // a hub holding a fifth of all edges, a self loop in every 13 edges, and a
 // repeat of an earlier (src, dst) pair under a fresh weight in every 7.
-std::vector<Edge> RandomEdges(uint64_t seed, VertexId n, size_t m,
-                              VertexId hub) {
+PageVector<Edge> RandomEdges(uint64_t seed, VertexId n, size_t m,
+                             VertexId hub) {
   Rng rng(seed);
   const VertexId active = n - 64;
-  std::vector<Edge> edges;
+  PageVector<Edge> edges;
   edges.reserve(m);
   for (size_t i = 0; i < m; ++i) {
     const auto weight = static_cast<Weight>(rng.NextInRange(1, 8));
@@ -192,7 +192,7 @@ TEST(GraphBuilderTest, MatchesSortReferenceForEveryOptionCombination) {
   struct Input {
     const char* name;
     VertexId n;
-    std::vector<Edge> edges;
+    PageVector<Edge> edges;
   };
   // 5000 vertices make 625 buckets of 8 sources, so the hub's ~24K-edge row
   // is far larger than a bucket's ~190 edges on average.
@@ -239,7 +239,7 @@ TEST(GraphBuilderTest, DeduplicateKeepsLowestWeightOfEachPair) {
 
 TEST(GraphBuilderTest, OutOfRangeErrorNamesFirstOffendingEdgeInInputOrder) {
   constexpr VertexId kN = 5000;
-  std::vector<Edge> edges = RandomEdges(/*seed=*/4, kN, 120000, /*hub=*/3);
+  PageVector<Edge> edges = RandomEdges(/*seed=*/4, kN, 120000, /*hub=*/3);
   // Offenders in three of the parallel pass's static chunks, two of them
   // adjacent; the error names the earliest in input order.
   edges[100000] = Edge{kN + 9, 1, 1};
